@@ -23,15 +23,17 @@ from .graph_model import (
     AdversarySpec,
     AssignmentState,
     PlantedInstance,
-    bowtie,
+    design_labels,
     gen_classical,
     gen_coupled,
     gen_semirandom,
     grid_rate,
     is_prime,
     line_rate,
+    related,
     stream,
     stream_seed,
+    structure_points,
 )
 from .perturbed_bernoulli import (
     PBSpec,
@@ -110,27 +112,17 @@ def column_law_lines(state: AssignmentState) -> ColumnLaw:
     if not cands:
         raise ValueError("no unused off-line points remain")
     denom = len(cands)
-    sigma_counts = dict(Counter(state.perturb_mask(p) for p in cands))
     s = len(state.clique_points)
-    counts = tuple(
-        sum(
-            1
-            for p in state.prior_points
-            if bowtie(p, cp, state.m, state.k)
-        )
-        for cp in state.clique_points
-    )
-    singles = [0] * s
-    for mask, c in sigma_counts.items():
-        for j in range(s):
-            if mask >> j & 1:
-                singles[j] += c
+    forced = state.forced(cands)
+    masks = forced @ (1 << np.arange(s, dtype=np.int64))
+    sigma_counts = dict(Counter(masks.tolist()))
+    counts = tuple(state.forced(state.prior_points).sum(axis=0).tolist())
     spec = PBSpec(
         s=s, q=state.q, sigma={mask: c / denom for mask, c in sigma_counts.items()}
     )
     return ColumnLaw(
         spec=spec,
-        pi=tuple(c / denom for c in singles),
+        pi=tuple(c / denom for c in forced.sum(axis=0).tolist()),
         counts=counts,
         denominator=denom,
         sigma_counts=sigma_counts,
@@ -146,17 +138,15 @@ def random_prefix_state(
         q = grid_rate(m)
         planted = (0, 0)
         k = 2
-        bvals = rng.permutation(m)[:s]
-        cpts = tuple((0, int(b)) for b in bvals)
     elif mode == "lines":
         q = line_rate(m, k)
         rstar = int(rng.integers(k))
         hstar = int(rng.integers(m))
         planted = (rstar, hstar)
-        bvals = rng.permutation(m)[:s]
-        cpts = tuple(((hstar + rstar * int(b)) % m, int(b)) for b in bvals)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    line = structure_points(planted, m)
+    cpts = tuple(line[b] for b in rng.permutation(m)[:s].tolist())
     state = AssignmentState(
         mode=mode, m=m, k=k, q=q, planted=planted, clique_points=cpts
     )
@@ -385,14 +375,6 @@ def _pairs(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
     return pairs, {p: r for r, p in enumerate(pairs)}
 
 
-def _bitcount_table(nbits: int) -> np.ndarray:
-    arr = np.arange(1 << nbits, dtype=np.int64)
-    out = np.zeros(1 << nbits, dtype=np.int64)
-    for b in range(nbits):
-        out += (arr >> b) & 1
-    return out
-
-
 def _mode_rate(m: int, mode: str, k: int) -> float:
     if mode == "grid":
         return grid_rate(m)
@@ -406,12 +388,6 @@ def _mode_rate(m: int, mode: str, k: int) -> float:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _related(p: tuple[int, int], r: tuple[int, int], m: int, mode: str, k: int) -> bool:
-    if mode == "grid":
-        return p != r and (p[0] == r[0] or p[1] == r[1])
-    return p != r and bowtie(p, r, m, k)
-
-
 def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray:
     """Exact null graph law over all 2^C(n,2) graphs, by summing over every
     ordered distinct point assignment."""
@@ -422,10 +398,7 @@ def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray
     if total > _MAX_ASSIGNMENTS:
         raise ValueError(f"state space too large: {total} assignments")
     pts = [(a, b) for a in range(m) for b in range(m)]
-    rel = [
-        [_related(p, r, m, mode, k) for r in pts]
-        for p in pts
-    ]
+    rel = related(pts, pts, mode, m, k).tolist()  # assignments are distinct
     pairs, _ = _pairs(n)
     npairs = len(pairs)
     forced_tally: Counter[int] = Counter()
@@ -436,7 +409,7 @@ def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray
                 f |= 1 << bit
         forced_tally[f] += 1
     graphs = np.arange(1 << npairs, dtype=np.int64)
-    pop = _bitcount_table(npairs)
+    pop = _popcounts(npairs)
     vec = np.zeros(1 << npairs)
     for f, c in forced_tally.items():
         has = (graphs & f) == f
@@ -457,16 +430,10 @@ def _column_likelihoods(
     """Per candidate point, the likelihood of every possible clique column."""
     s = len(clique_pts)
     cspace = np.arange(1 << s, dtype=np.int64)
-    cpop = _bitcount_table(s)
+    cpop = _popcounts(s)
+    jmasks = related(off_pts, clique_pts, mode, m, k) @ (1 << np.arange(s, dtype=np.int64))
     tables = {}
-    for p in off_pts:
-        jmask = 0
-        for j, cp in enumerate(clique_pts):
-            related = (
-                cp[1] == p[1] if mode == "grid" else bowtie(p, cp, m, k)
-            )
-            if related:
-                jmask |= 1 << j
+    for p, jmask in zip(off_pts, jmasks.tolist()):
         ok = (cspace & jmask) == jmask
         free_ones = cpop[cspace & ~jmask]
         free = s - jmask.bit_count()
@@ -510,14 +477,8 @@ def exact_coupled_law(
     extraction_cache: dict[tuple[int, ...], tuple] = {}
 
     for rstar in slopes:
-        if mode == "grid":
-            line_pts = [(0, b) for b in range(m)]
-        else:
-            line_pts = [((rstar * b) % m, b) for b in range(m)]
-        on_line = set(line_pts)
-        off_pts = [
-            (a, b) for a in range(m) for b in range(m) if (a, b) not in on_line
-        ]
+        line_pts = structure_points((rstar, 0), m)
+        off_pts = AssignmentState(mode, m, k, q, (rstar, 0), ()).unused_candidates()
         for s in range(0, min(n, m) + 1):
             if not size_lo <= s <= size_hi:
                 continue
@@ -536,7 +497,6 @@ def exact_coupled_law(
                     slope_weight * ps / comb(n, s) / _falling(m, s) * 0.5 ** (r * s)
                 )
                 mtot = np.zeros((1 << (r * s), 1 << len(nn_pairs)))
-                nonS = [u for u in range(n) if u not in set(S)]
                 for spts in itertools.permutations(line_pts, s):
                     tables = _column_likelihoods(off_pts, spts, m, mode, k, q)
                     _accumulate_tuples(
@@ -585,13 +545,14 @@ def _accumulate_tuples(mtot, off_pts, tables, r, s, base, nn_pairs, m, mode, k, 
     (columns, outside-completion) weight into mtot."""
     nnbits = len(nn_pairs)
     nn_graphs = np.arange(1 << nnbits, dtype=np.int64)
-    nn_pop = _bitcount_table(nnbits)
+    nn_pop = _popcounts(nnbits)
     csize = 1 << s
 
     def completion(points):
+        rel = related(points, points, mode, m, k)
         f = 0
         for bit, (l1, l2) in enumerate(nn_pairs):
-            if _related(points[l1], points[l2], m, mode, k):
+            if rel[l1, l2]:
                 f |= 1 << bit
         has = (nn_graphs & f) == f
         fpop = f.bit_count()
@@ -692,11 +653,8 @@ def _expected_line_column_kl(s, d, m, k, q, ref) -> float:
         raise ValueError("state space too large for the line chain enumeration")
     out = 0.0
     for rstar in range(k):
-        line_pts = [((rstar * b) % m, b) for b in range(m)]
-        on_line = set(line_pts)
-        off_pts = [
-            (a, b) for a in range(m) for b in range(m) if (a, b) not in on_line
-        ]
+        line_pts = structure_points((rstar, 0), m)
+        off_pts = AssignmentState("lines", m, k, q, (rstar, 0), ()).unused_candidates()
         acc = 0.0
         n_s = comb(m, s)
         n_p = comb(off, d)
@@ -785,13 +743,9 @@ def oracle_line_pick(instance: PlantedInstance, rng: np.random.Generator) -> fro
     cfg = instance.grid
     if cfg is None or cfg.planted_line is None:
         raise ValueError("instance carries no planted grid structure")
-    av, bv = cfg.points[instance.revealed]
+    labels = design_labels(cfg.points, cfg.mode, cfg.m, cfg.k)
     r = int(rng.integers(cfg.k))
-    return frozenset(
-        u
-        for u, (a, b) in enumerate(cfg.points)
-        if (a - av - r * (b - bv)) % cfg.m == 0
-    )
+    return frozenset(np.flatnonzero(labels[:, r] == labels[instance.revealed, r]).tolist())
 
 
 def _corrupted_candidates(
@@ -836,8 +790,15 @@ def _estimate(instance: PlantedInstance, estimator: str, tseed: int, budget: int
 def _conditioned_coupled(seed: int, t: int, n: int, m: int, k: int):
     """Coupled instance conditioned on the clique size window
     [n/2m, 2n/m]; out-of-window draws are rejected and redrawn from the
-    next attempt substream."""
+    next attempt substream.  Raises when no clique size the generator can
+    draw lies in the window, where rejection would never stop."""
     lo, hi = n / (2.0 * m), 2.0 * n / m
+    if not any(
+        lo <= s <= hi and hg_pmf(s, n, m, m * m) > 0.0 for s in range(1, min(n, m) + 1)
+    ):
+        raise ValueError(
+            f"no drawable clique size lies in the window [{lo:g}, {hi:g}] for n={n}, m={m}"
+        )
     attempt = 0
     while True:
         tseed = stream_seed(seed, "trial", t, attempt)

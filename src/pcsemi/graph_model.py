@@ -1,12 +1,15 @@
 """Graph generators: planted cliques, semi-random adversaries, and the
 grid/line null constructions they are coupled to.
 
-Vertices carry latent grid points (a, b) in [0, m) x [0, m).  In grid mode
-two vertices are design-connected when they share a row or a column; in line
-mode when some slope r in {0..k-1} aligns them, i.e.
-a_i - a_j = r (b_i - b_j) (mod m) with m prime.  All remaining edges are
-independent coins whose rate q is calibrated so that edges between a design
-clique and a fresh vertex look exactly like fair coins.
+Vertices carry latent grid points (a, b) in [0, m) x [0, m).  The design
+relation is label sharing: ``design_labels`` gives every point one integer
+clique label per family, and two points are design-connected when they carry
+the same label in some family.  Grid mode has two families, rows (label a)
+and columns (label b); line mode has one family per slope r in {0..k-1},
+labelling (a, b) with the offset (a - r b) mod m of its line, m prime.  All
+remaining edges are independent coins whose rate q is calibrated so that
+edges between a design clique and a fresh vertex look exactly like fair
+coins.
 
 Randomness: every generator derives named substreams from (seed, path) via a
 counter-based Philox generator keyed by a blake2b hash, so identical seeds
@@ -71,10 +74,43 @@ def line_rate(m: int, k: int) -> float:
 
 
 def bowtie(p: Point, r: Point, m: int, k: int) -> bool:
-    """Whether some slope in {0..k-1} aligns the two grid points (mod m)."""
+    """Whether some slope in {0..k-1} aligns the two grid points (mod m).
+
+    Scalar reference definition of the line-mode relation, kept as an
+    independent oracle for ``related``.
+    """
     da = p[0] - r[0]
     db = p[1] - r[1]
     return any((da - slope * db) % m == 0 for slope in range(k))
+
+
+def design_labels(points, mode: str, m: int, k: int) -> np.ndarray:
+    """Integer clique label of each point in every design family.
+
+    Returns an (len(points), families) array: columns (a, b) in grid mode,
+    and (a - r b) mod m for r = 0..k-1 in line mode.
+    """
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    if mode == "grid":
+        return pts
+    if mode == "lines":
+        return (pts[:, :1] - np.arange(k) * pts[:, 1:]) % m
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def related(left, right, mode: str, m: int, k: int) -> np.ndarray:
+    """Boolean (len(left), len(right)) matrix: the two points share a label
+    in the same family.  A point is related to itself."""
+    lab_l = design_labels(left, mode, m, k)
+    lab_r = design_labels(right, mode, m, k)
+    return (lab_l[:, None, :] == lab_r[None, :, :]).any(axis=2)
+
+
+def structure_points(planted: tuple[int, int], m: int) -> list[Point]:
+    """Points of the planted clique (slope r, offset h), indexed by b: the
+    line a = h + r b (mod m), which in grid mode (r = 0) is row h."""
+    r, h = planted
+    return [((h + r * b) % m, b) for b in range(m)]
 
 
 @dataclass(frozen=True)
@@ -109,6 +145,8 @@ class Graph:
         for i, j in edges:
             if i == j:
                 raise ValueError(f"self loop at {i}")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) outside vertices 0..{n - 1}")
             a[i, j] = a[j, i] = True
         return cls(n=n, adj=a)
 
@@ -300,9 +338,9 @@ def gen_semirandom(
     )
 
 
-def _sample_points(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _sample_points(n: int, m: int, seed: int) -> np.ndarray:
     idx = stream(seed, "points").permutation(m * m)[:n]
-    return idx // m, idx % m
+    return np.stack(np.divmod(idx, m), axis=1)
 
 
 def gen_null_grid(n: int, m: int, seed: int) -> tuple[Graph, GridConfig]:
@@ -311,15 +349,15 @@ def gen_null_grid(n: int, m: int, seed: int) -> tuple[Graph, GridConfig]:
     q = grid_rate(m)
     if n > m * m - m:
         raise ValueError(f"need n <= m^2 - m = {m * m - m}, got n={n}")
-    a, b = _sample_points(n, m, seed)
-    forced = (a[:, None] == a[None, :]) | (b[:, None] == b[None, :])
+    pts = _sample_points(n, m, seed)
+    forced = related(pts, pts, "grid", m, 2)
     adj = forced | _sym_coin(n, q, stream(seed, "edges"))
     np.fill_diagonal(adj, False)
     cfg = GridConfig(
         mode="grid",
         m=m,
         k=2,
-        points=tuple((int(x), int(y)) for x, y in zip(a, b)),
+        points=tuple(map(tuple, pts.tolist())),
         planted_line=None,
         q=q,
     )
@@ -335,30 +373,20 @@ def _check_lines_params(n: int, m: int, k: int) -> None:
         raise ValueError(f"need n <= m(m-1)/2 = {m * (m - 1) // 2}, got n={n}")
 
 
-def _bowtie_matrix(a: np.ndarray, b: np.ndarray, m: int, k: int) -> np.ndarray:
-    da = a[:, None] - a[None, :]
-    db = b[:, None] - b[None, :]
-    rel = np.zeros((len(a), len(a)), dtype=bool)
-    for slope in range(k):
-        rel |= (da - slope * db) % m == 0
-    np.fill_diagonal(rel, False)
-    return rel
-
-
 def gen_null_lines(n: int, m: int, k: int, seed: int) -> tuple[Graph, GridConfig]:
     """Null model over the affine lines of slopes 0..k-1 in the prime grid:
     aligned vertices are connected, everything else is a Ber(q) coin."""
     _check_lines_params(n, m, k)
     q = line_rate(m, k)
-    a, b = _sample_points(n, m, seed)
-    forced = _bowtie_matrix(a, b, m, k)
+    pts = _sample_points(n, m, seed)
+    forced = related(pts, pts, "lines", m, k)
     adj = forced | _sym_coin(n, q, stream(seed, "edges"))
     np.fill_diagonal(adj, False)
     cfg = GridConfig(
         mode="lines",
         m=m,
         k=k,
-        points=tuple((int(x), int(y)) for x, y in zip(a, b)),
+        points=tuple(map(tuple, pts.tolist())),
         planted_line=None,
         q=q,
     )
@@ -382,39 +410,25 @@ class AssignmentState:
     clique_points: tuple[Point, ...]
     prior_points: tuple[Point, ...] = ()
 
-    def on_structure(self, p: Point) -> bool:
-        r, h = self.planted
-        if self.mode == "grid":
-            return p[0] == h
-        return (p[0] - r * p[1]) % self.m == h % self.m
-
-    def structure_points(self) -> list[Point]:
-        r, h = self.planted
-        if self.mode == "grid":
-            return [(h, b) for b in range(self.m)]
-        return [((h + r * b) % self.m, b) for b in range(self.m)]
-
     def unused_candidates(self) -> list[Point]:
-        used = set(self.prior_points)
-        return [
-            (a, b)
-            for a in range(self.m)
-            for b in range(self.m)
-            if not self.on_structure((a, b)) and (a, b) not in used
-        ]
+        """Off-structure points not yet assigned, in (a, b) lexicographic
+        order."""
+        grid = np.stack(np.divmod(np.arange(self.m * self.m), self.m), axis=1)
+        r, h = self.planted
+        free = design_labels(grid, self.mode, self.m, self.k)[:, r] != h % self.m
+        if self.prior_points:
+            used = np.asarray(self.prior_points)
+            free[used[:, 0] * self.m + used[:, 1]] = False
+        return list(map(tuple, grid[free].tolist()))
+
+    def forced(self, points) -> np.ndarray:
+        """Boolean (len(points), s) matrix: the clique coordinates whose edge
+        each point forces."""
+        return related(points, self.clique_points, self.mode, self.m, self.k)
 
     def perturb_mask(self, p: Point) -> int:
         """Bit mask of clique coordinates whose edge the point forces."""
-        mask = 0
-        if self.mode == "grid":
-            for j, cp in enumerate(self.clique_points):
-                if cp[1] == p[1]:
-                    mask |= 1 << j
-        else:
-            for j, cp in enumerate(self.clique_points):
-                if bowtie(p, cp, self.m, self.k):
-                    mask |= 1 << j
-        return mask
+        return sum(1 << j for j in np.flatnonzero(self.forced([p])[0]).tolist())
 
     def with_point(self, p: Point) -> "AssignmentState":
         return AssignmentState(
@@ -441,18 +455,13 @@ def column_weights(state: AssignmentState, column: Sequence[int]) -> tuple[list[
     if len(col) != len(state.clique_points):
         raise ValueError("column length does not match the clique size")
     q = state.q
-    weights = np.zeros(len(cands))
-    for idx, p in enumerate(cands):
-        jmask = state.perturb_mask(p)
-        w = 1.0
-        for j, c in enumerate(col):
-            if jmask >> j & 1:
-                if c == 0:
-                    w = 0.0
-                    break
-            else:
-                w *= q if c else 1.0 - q
-        weights[idx] = w
+    forced = state.forced(cands)
+    # one coordinate at a time, in j order, so every weight is the same
+    # float product as the scalar definition; a forced coordinate
+    # contributes 1[column_j = 1]
+    weights = np.ones(len(cands))
+    for j, c in enumerate(col):
+        weights *= np.where(forced[:, j], 1.0, q) if c else np.where(forced[:, j], 0.0, 1.0 - q)
     return cands, weights
 
 
@@ -511,8 +520,8 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
     inside = np.zeros(n, dtype=bool)
     inside[members] = True
 
-    bvals = stream(seed, "spoints").permutation(m)[:s]
-    cpts = tuple(((hstar + rstar * int(b)) % m, int(b)) for b in bvals)
+    line = structure_points((rstar, hstar), m)
+    cpts = tuple(line[b] for b in stream(seed, "spoints").permutation(m)[:s].tolist())
 
     state = AssignmentState(
         mode="lines", m=m, k=k, q=q, planted=(rstar, hstar), clique_points=cpts
@@ -535,9 +544,8 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
         adj[mlist, i] = col.astype(bool)
         adj[i, mlist] = col.astype(bool)
 
-    a = np.array([points[i][0] for i in range(n)])
-    b = np.array([points[i][1] for i in range(n)])
-    forced = _bowtie_matrix(a, b, m, k)
+    pts = [points[i] for i in range(n)]
+    forced = related(pts, pts, "lines", m, k)
     noise = _sym_coin(n, q, stream(seed, "noise"))
     out_mask = ~inside[:, None] & ~inside[None, :]
     adj[out_mask] = (forced | noise)[out_mask]
@@ -547,7 +555,7 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
         mode="lines",
         m=m,
         k=k,
-        points=tuple(points[i] for i in range(n)),
+        points=tuple(pts),
         planted_line=(rstar, hstar),
         q=q,
     )

@@ -38,8 +38,9 @@ class PBSpec:
     """A perturbed Bernoulli distribution: base rate plus sparse subset masses.
 
     ``sigma`` maps subset bit masks to probability masses; absent masks carry
-    mass exactly zero.  Masses must be nonnegative and sum to one within
-    1e-12.
+    mass exactly zero.  Masses must be finite, nonnegative and sum to one
+    within 1e-12; the sum is exactly rounded (``math.fsum``), so the check
+    holds at every dimension up to ``MAX_DIM``.
     """
 
     s: int
@@ -51,15 +52,14 @@ class PBSpec:
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"base rate q={self.q} outside [0, 1]")
         clean = {}
-        total = 0.0
         for mask, mass in self.sigma.items():
             mask = int(mask)
             if not 0 <= mask < (1 << self.s):
                 raise ValueError(f"mask {mask} is not a subset of 1..{self.s}")
-            if mass < 0.0:
-                raise ValueError(f"negative mass {mass} at mask {mask}")
+            if not math.isfinite(mass) or mass < 0.0:
+                raise ValueError(f"mass {mass} at mask {mask} is not finite and nonnegative")
             clean[mask] = float(mass)
-            total += mass
+        total = math.fsum(clean.values())
         if abs(total - 1.0) > IDENTITY_TOL:
             raise ValueError(f"masses sum to {total!r}, not 1")
         object.__setattr__(self, "sigma", clean)

@@ -454,6 +454,11 @@ class TestJaccardExperiments:
             inst, _ = _conditioned_coupled(7, t, 50, 11, 3)
             assert 50 / 22 <= len(inst.clique) <= 100 / 11
 
+    def test_empty_size_window_raises(self):
+        """[5/22, 10/11] holds no clique size >= 1; rejection never ends."""
+        with pytest.raises(ValueError, match="window"):
+            jaccard_experiment("coupled", "oracle-line", 1, 0, n=5, m=11, k=2)
+
     def test_oracle_line_pick_contains_v(self):
         inst = gen_coupled(40, 11, 3, 2)
         from pcsemi.graph_model import stream

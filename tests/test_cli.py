@@ -128,6 +128,16 @@ class TestRecover:
         code, _, err = run(capsys, "recover", "--in", str(bad))
         assert code == 2 and "malformed" in err
 
+    def test_out_of_range_edge(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        run(capsys, "gen", "--model", "classical", "--n", "10", "--s", "3", "--out", str(out))
+        record = json.loads(out.read_text())
+        record["edges"].append([3, 10])
+        out.write_text(json.dumps(record))
+        code, _, err = run(capsys, "recover", "--in", str(out))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error:") and "outside" in err
+
 
 class TestVerify:
     def test_union_bound_suite(self, tmp_path, capsys):
@@ -219,6 +229,13 @@ class TestExperiment:
     def test_unknown_tag(self, capsys):
         code, _, err = run(capsys, "experiment", "bogus")
         assert code == 2
+
+    def test_empty_size_window(self, capsys):
+        code, _, err = run(
+            capsys, "experiment", "oracle-line", "--n", "5", "--m", "11", "--k", "2",
+            "--trials", "1",
+        )
+        assert code == 2 and "window" in err
 
 
 class TestFloatFormatting:

@@ -1,0 +1,87 @@
+"""Golden digests: the behaviour contract for refactors.
+
+Each case runs one fixed (subcommand, flags, seed) through the command line
+and hashes what it writes: instance JSON for every model, the chained-bound
+ledgers, two verification sweeps, and the ``trial,jaccard`` columns of two
+experiments (``runtime_s`` is wall time and is left out).  A change that
+keeps these digests keeps every seeded output of the corpus byte-identical.
+A digest may change only with a stated reason.
+"""
+
+import csv
+import hashlib
+
+import pytest
+
+from pcsemi.cli import main
+
+CASES = {
+    "gen-classical": ["gen", "--model", "classical", "--n", "40", "--s", "10", "--seed", "1"],
+    "gen-semirandom": [
+        "gen", "--model", "semirandom", "--n", "40", "--s", "10",
+        "--adversary", "extra_cliques:2", "--seed", "2",
+    ],
+    "gen-null-grid": ["gen", "--model", "null-grid", "--n", "40", "--m", "9", "--seed", "3"],
+    "gen-null-lines": [
+        "gen", "--model", "null-lines", "--n", "40", "--m", "11", "--k", "3", "--seed", "4",
+    ],
+    **{
+        f"gen-coupled-50-seed{seed}": [
+            "gen", "--model", "coupled", "--n", "50", "--m", "11", "--k", "3",
+            "--seed", str(seed),
+        ]
+        for seed in range(4)
+    },
+    "gen-coupled-200": [
+        "gen", "--model", "coupled", "--n", "200", "--m", "29", "--k", "3", "--seed", "0",
+    ],
+    "bounds-lines": [
+        "bounds", "--mode", "lines", "--n", "40", "--m", "29", "--k", "2", "--s", "3",
+        "--trials", "4", "--seed", "1",
+    ],
+    "bounds-lines-k3": [
+        "bounds", "--mode", "lines", "--n", "30", "--m", "37", "--k", "3", "--s", "2",
+        "--trials", "3", "--seed", "6",
+    ],
+    "bounds-grid": ["bounds", "--mode", "grid", "--trials", "10", "--seed", "1"],
+    "verify-column-laws": ["verify", "column-laws", "--trials", "3", "--seed", "2"],
+    "verify-local-bounds": ["verify", "local-bounds", "--trials", "2", "--seed", "3"],
+    "experiment-coupled-lower": ["experiment", "coupled-lower", "--trials", "6", "--seed", "4"],
+    "experiment-oracle-line": ["experiment", "oracle-line", "--trials", "12", "--seed", "5"],
+}
+
+DIGESTS = {
+    "bounds-grid": "0202b7ed2afce1cb3db9abfa71e4a5129aa1904c176c2314820e64032d09e68f",
+    "bounds-lines": "ffe6e39644fc78a28cedf0fea7f8bb101af9bdb57d753aeb55db2aee305faebb",
+    "bounds-lines-k3": "aa8ecdfc40aa37c16ae81873fd441f6436ed5a7deb9710a2e1cd981e120a2e47",
+    "experiment-coupled-lower": "b133e71892663909924e97eef4017419d56b6a406d54581ad1f898452e28d879",
+    "experiment-oracle-line": "5dbb93273df14df5b87b1a7e6d81d2e083a71ae26b73d2b64ca66a3436a4da28",
+    "gen-classical": "719f69c1021607b545d28a358fee7793e6ba7f60e61e08fb32554bbb0aacdced",
+    "gen-coupled-200": "4bf6c99b359f41b744f5f0b6e777512eee2ef12d590733179a2942d4d12116a1",
+    "gen-coupled-50-seed0": "8a5b3e87e80f65675f488cdde14802b68e47a4fd6bc47913cee87a5294b02cf2",
+    "gen-coupled-50-seed1": "a1d687d3bc5c8c938ec021e9d5256ec8c8339e5ac88f4fbda699b3f06aa44f76",
+    "gen-coupled-50-seed2": "08e6b234022428fb8aa83daf3f1cec3d5bdaecaba55ebd98af2412a3bd61ca22",
+    "gen-coupled-50-seed3": "602c5a97b2726cd8c6c886173122a0c6cda800f941ffab8a66c214bee306f2d2",
+    "gen-null-grid": "e6e19b98d849fc39fedf36c36ecc51fba22e3b6a5b3db478b3d1f5eea7cb65c8",
+    "gen-null-lines": "18f2a1f57c46893e97edd2854560976d16c2b8a327dc5825059045197bc77f8a",
+    "gen-semirandom": "c27c837c7b9e6b25c79119634d440f3cfae1afab363235b7c409d2e3d25f8289",
+    "verify-column-laws": "362aab26717088fd0f3d911a225ef5e2810239e3a6ea5206c9e6fa4321cad36b",
+    "verify-local-bounds": "3ba780fdd25000572666d0ae074d810b6bf7c66afce477746513bf0dbfb4cb00",
+}
+
+
+def case_digest(name: str, tmp_path) -> str:
+    argv = CASES[name]
+    out = tmp_path / f"{name}.out"
+    flag = "--out" if argv[0] == "gen" else "--csv"
+    assert main(argv + [flag, str(out)]) == 0
+    if argv[0] != "experiment":
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+    with open(out, newline="") as fh:
+        kept = "".join(f"{row['trial']},{row['jaccard']}\n" for row in csv.DictReader(fh))
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest(name, tmp_path, capsys):
+    assert case_digest(name, tmp_path) == DIGESTS[name]

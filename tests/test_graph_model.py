@@ -22,6 +22,7 @@ from pcsemi.graph_model import (
     gen_null_lines,
     gen_semirandom,
     grid_rate,
+    related,
     hypergeometric_sample,
     instance_from_json,
     instance_record,
@@ -50,6 +51,29 @@ class TestGraphType:
     def test_edges_roundtrip(self):
         g = Graph.from_edges(4, [(0, 2), (1, 3)])
         assert g.edges() == [(0, 2), (1, 3)]
+
+    def test_edge_indices_must_be_vertices(self):
+        for bad in [(-1, 2), (0, 4), (4, 5)]:
+            with pytest.raises(ValueError, match="outside vertices"):
+                Graph.from_edges(4, [(0, 1), bad])
+
+
+class TestDesignRelation:
+    def test_lines_match_scalar_reference(self):
+        m, k = 7, 3
+        pts = [(a, b) for a in range(m) for b in range(m)]
+        rel = related(pts, pts, "lines", m, k)
+        for i, p in enumerate(pts):
+            for j, r in enumerate(pts):
+                assert rel[i, j] == bowtie(p, r, m, k)
+
+    def test_grid_shares_row_or_column(self):
+        m = 5
+        pts = [(a, b) for a in range(m) for b in range(m)]
+        rel = related(pts, pts, "grid", m, 2)
+        for i, p in enumerate(pts):
+            for j, r in enumerate(pts):
+                assert rel[i, j] == (p[0] == r[0] or p[1] == r[1])
 
 
 class TestClassical:

@@ -107,6 +107,10 @@ class TestPmf:
             PBSpec(s=1, q=1.5, sigma={0: 1.0})
         with pytest.raises(ValueError):
             PBSpec(s=1, q=0.5, sigma={0: 1.5, 1: -0.5})
+        with pytest.raises(ValueError):
+            PBSpec(s=1, q=0.5, sigma={0: 1.0, 1: math.nan})
+        with pytest.raises(ValueError):
+            PBSpec(s=2, q=0.5, sigma={0: 1.0, 1: math.inf, 2: -math.inf})
 
 
 class TestFourierForm:
@@ -262,6 +266,13 @@ class TestBernoulliLift:
                 assert vec[mask] == pytest.approx(
                     qp**ones * (1 - qp) ** (s - ones), abs=1e-12
                 )
+
+    def test_lift_to_fair_coins_at_large_dimension(self):
+        """The 2^s rounded masses pass the mass-sum check: summed naively
+        they missed 1 by more than 1e-12 at these (s, q)."""
+        for s, q in ((17, 0.15), (17, 0.4), (18, 0.2), (18, 0.35)):
+            spec = bernoulli_lift(q, 0.5, s)
+            assert len(spec.sigma) == 1 << s
 
     def test_rejects_unit_base(self):
         with pytest.raises(ValueError):
