@@ -52,8 +52,7 @@ from .graph_model import (
 from .perturbed_bernoulli import (
     INEQUALITY_TOL,
     bernoulli_lift,
-    chi2_exact,
-    kl_bound,
+    compare,
     kl_exact,
     random_spec,
 )
@@ -262,12 +261,13 @@ def _suite_pb_bound(p):
                 b = random_spec(rng, s, q, include_empty=True)
             else:
                 b = bernoulli_lift(q, float(rng.uniform(q, 0.95)), s)
-            kl = kl_exact(a, b)
-            chi = chi2_exact(a, b)
-            bound = kl_bound(a, b)
-            ok = kl <= chi + INEQUALITY_TOL and kl <= bound + INEQUALITY_TOL
+            r = compare(a, b)
+            ok = (
+                r.kl_exact <= r.chi2_exact + INEQUALITY_TOL
+                and r.kl_exact <= r.bound + INEQUALITY_TOL
+            )
             bad += not ok
-            rows.append([case, s, q, kl, chi, bound, bound - kl, int(ok)])
+            rows.append([case, s, q, r.kl_exact, r.chi2_exact, r.bound, r.slack, int(ok)])
             case += 1
     return header, rows, bad
 

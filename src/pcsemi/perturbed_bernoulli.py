@@ -8,10 +8,10 @@ belongs to the subset, so mask 0 is the empty set.
 
 Provided here: the exact pmf in two algebraically distinct forms (the direct
 sum over perturbations and a signed product form driven by superset
-statistics), a sampler, the subset-lattice zeta/Moebius transforms, exact KL
-and chi-squared divergences by full state enumeration (s <= 20), and a
-closed-form KL upper bound expressed through the superset statistics
-``S(J) = sum_{J' >= J} sigma(J')``.
+statistics), a sampler, exact KL and chi-squared divergences by full state
+enumeration (s <= 20), and a closed-form KL upper bound expressed through the
+superset statistics ``S(J) = sum_{J' >= J} sigma(J')``.  Every 2^s-state
+table comes from one in-place subset-lattice transform, ``_lattice_transform``.
 """
 
 from __future__ import annotations
@@ -128,41 +128,23 @@ def _dense(spec: PBSpec) -> np.ndarray:
     return arr
 
 
-def _zeta_subset(values: np.ndarray, s: int) -> np.ndarray:
-    """out[x] = sum over y subset of x of values[y]."""
-    out = values.copy()
-    idx = np.arange(1 << s)
-    for b in range(s):
-        hi = (idx >> b) & 1 == 1
-        out[hi] += out[idx[hi] ^ (1 << b)]
-    return out
+def _lattice_transform(out: np.ndarray, op, superset: bool = False) -> np.ndarray:
+    """Yates' fast zeta transform over the subset lattice, in place on ``out``.
 
-
-def _mobius_subset(values: np.ndarray, s: int) -> np.ndarray:
-    out = values.copy()
-    idx = np.arange(1 << s)
-    for b in range(s):
-        hi = (idx >> b) & 1 == 1
-        out[hi] -= out[idx[hi] ^ (1 << b)]
-    return out
-
-
-def _zeta_superset(values: np.ndarray, s: int) -> np.ndarray:
-    """out[x] = sum over y superset of x of values[y]."""
-    out = values.copy()
-    idx = np.arange(1 << s)
-    for b in range(s):
-        lo = (idx >> b) & 1 == 0
-        out[lo] += out[idx[lo] | (1 << b)]
-    return out
-
-
-def _mobius_superset(values: np.ndarray, s: int) -> np.ndarray:
-    out = values.copy()
-    idx = np.arange(1 << s)
-    for b in range(s):
-        lo = (idx >> b) & 1 == 0
-        out[lo] -= out[idx[lo] | (1 << b)]
+    With ``op=np.add`` each entry x becomes the sum of the input over the
+    subsets of x (over its supersets when ``superset`` is set); with
+    ``np.subtract`` it is the inverse, the Moebius transform.  Pass b views
+    the table as blocks of (bit b clear, bit b set) halves and folds one half
+    into the other, so each pass is one contiguous ufunc call.  ``out`` must
+    be C-contiguous, so that every reshape is a view and not a copy.
+    """
+    for b in range(out.size.bit_length() - 1):
+        v = out.reshape(-1, 2, 1 << b)
+        lo, hi = v[:, 0, :], v[:, 1, :]
+        if superset:
+            op(lo, hi, out=lo)
+        else:
+            op(hi, lo, out=hi)
     return out
 
 
@@ -204,9 +186,9 @@ def pmf_vector(spec: PBSpec) -> np.ndarray:
     O(s 2^s).
     """
     s, q = spec.s, spec.q
-    z_sigma = _zeta_subset(_dense(spec), s)
-    z_coins = (1.0 - q) ** (s - _popcounts(s))
-    return _mobius_subset(z_sigma * z_coins, s)
+    z_sigma = _lattice_transform(_dense(spec), np.add)
+    z_sigma *= (1.0 - q) ** (s - _popcounts(s))
+    return _lattice_transform(z_sigma, np.subtract)
 
 
 def pb_pmf_fourier(spec: PBSpec, x: Sequence[int]) -> float:
@@ -230,15 +212,15 @@ def pmf_fourier_vector(spec: PBSpec) -> np.ndarray:
     s, q = spec.s, spec.q
     if q <= 0.0:
         raise ValueError("q must be positive for the signed product form")
-    acc = np.asarray(superset_sum(spec).values, dtype=float).copy()
+    acc = _lattice_transform(_dense(spec), np.add, superset=True)
     factor_one = -1.0 + 1.0 / q  # coordinate in J, x_j = 1
-    idx = np.arange(1 << s)
     for j in range(s):
-        lo = idx[(idx >> j) & 1 == 0]
-        hi = lo | (1 << j)
-        absent, present = acc[lo], acc[hi]
-        acc[lo] = absent - present
-        acc[hi] = absent + factor_one * present
+        v = acc.reshape(-1, 2, 1 << j)
+        absent, present = v[:, 0, :], v[:, 1, :]
+        contracted = absent - present
+        present *= factor_one
+        present += absent
+        absent[...] = contracted
     pop = _popcounts(s)
     coins = q**pop * (1.0 - q) ** (s - pop)
     return coins * acc
@@ -257,7 +239,7 @@ def pb_sample(spec: PBSpec, rng: np.random.Generator) -> np.ndarray:
 
 def superset_sum(spec: PBSpec) -> SupersetStats:
     """All superset statistics S(J) via the superset zeta transform."""
-    values = _zeta_superset(_dense(spec), spec.s)
+    values = _lattice_transform(_dense(spec), np.add, superset=True)
     values.flags.writeable = False
     return SupersetStats(s=spec.s, values=values)
 
@@ -269,7 +251,7 @@ def mobius_invert(stats: SupersetStats) -> dict[int, float]:
     input as not arising from a valid mass function; tiny negative dust from
     rounding (>= -1e-12 scale) is passed through untouched.
     """
-    masses = _mobius_superset(np.asarray(stats.values, dtype=float), stats.s)
+    masses = _lattice_transform(np.array(stats.values, dtype=float), np.subtract, superset=True)
     low = masses.min()
     if low < -INEQUALITY_TOL:
         raise ValueError(f"inversion produced mass {low}, not a superset-sum table")
@@ -311,7 +293,7 @@ def support_vector(spec: PBSpec) -> np.ndarray:
         out = np.zeros(1 << s, dtype=bool)
         out[(1 << s) - 1] = carriers.sum() > 0.0
         return out
-    return _zeta_subset(carriers, s) > 0.0
+    return _lattice_transform(carriers, np.add) > 0.0
 
 
 def _check_pair(a: PBSpec, b: PBSpec) -> None:
@@ -319,34 +301,48 @@ def _check_pair(a: PBSpec, b: PBSpec) -> None:
         raise ValueError(f"dimension mismatch: {a.s} vs {b.s}")
 
 
-def kl_exact(a: PBSpec, b: PBSpec) -> float:
-    """Exact KL divergence by enumeration; +inf when a escapes b's support.
-
-    Uses the convention 0 * ln 0 = 0.  Support is decided combinatorially,
-    not from rounded pmf values, so the +inf sentinel is exact.
-    """
+def _pmf_pair(a: PBSpec, b: PBSpec):
+    """Prologue shared by the exact divergences: (pa, pb, b's support), each
+    pmf over all states and zero off its support, or None when a escapes b's
+    support.  Support is decided combinatorially, not from rounded pmf
+    values, so the +inf sentinel the callers return for None is exact."""
     _check_pair(a, b)
     sup_a = support_vector(a)
     sup_b = support_vector(b)
     if np.any(sup_a & ~sup_b):
-        return math.inf
+        return None
     pa = np.where(sup_a, np.maximum(pmf_vector(a), 0.0), 0.0)
     pb = np.where(sup_b, np.maximum(pmf_vector(b), 1e-300), 0.0)
+    return pa, pb, sup_b
+
+
+def _kl_sum(pair) -> float:
+    if pair is None:
+        return math.inf
+    pa, pb, _ = pair
     live = pa > 0.0
     return float(np.sum(pa[live] * np.log(pa[live] / pb[live])))
+
+
+def _chi2_sum(pair) -> float:
+    if pair is None:
+        return math.inf
+    pa, pb, sup_b = pair
+    return float(np.sum((pa[sup_b] - pb[sup_b]) ** 2 / pb[sup_b]))
+
+
+def kl_exact(a: PBSpec, b: PBSpec) -> float:
+    """Exact KL divergence by enumeration; +inf when a escapes b's support.
+
+    Uses the convention 0 * ln 0 = 0.
+    """
+    return _kl_sum(_pmf_pair(a, b))
 
 
 def chi2_exact(a: PBSpec, b: PBSpec) -> float:
     """Exact chi-squared divergence sum_x (P_a - P_b)^2 / P_b, +inf sentinel
     on support escape.  Dominates kl_exact whenever both are finite."""
-    _check_pair(a, b)
-    sup_a = support_vector(a)
-    sup_b = support_vector(b)
-    if np.any(sup_a & ~sup_b):
-        return math.inf
-    pa = np.where(sup_a, np.maximum(pmf_vector(a), 0.0), 0.0)
-    pb = np.where(sup_b, np.maximum(pmf_vector(b), 1e-300), 0.0)
-    return float(np.sum((pa[sup_b] - pb[sup_b]) ** 2 / pb[sup_b]))
+    return _chi2_sum(_pmf_pair(a, b))
 
 
 def kl_bound(a: PBSpec, b: PBSpec) -> float:
@@ -379,9 +375,11 @@ def kl_bound(a: PBSpec, b: PBSpec) -> float:
 
 
 def compare(a: PBSpec, b: PBSpec) -> DivergenceReport:
-    """Exact divergences alongside the closed-form bound."""
+    """Exact divergences, from one shared prologue, alongside the
+    closed-form bound."""
+    pair = _pmf_pair(a, b)
     return DivergenceReport(
-        kl_exact=kl_exact(a, b), chi2_exact=chi2_exact(a, b), bound=kl_bound(a, b)
+        kl_exact=_kl_sum(pair), chi2_exact=_chi2_sum(pair), bound=kl_bound(a, b)
     )
 
 

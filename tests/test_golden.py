@@ -6,14 +6,32 @@ ledgers, two verification sweeps, and the ``trial,jaccard`` columns of two
 experiments (``runtime_s`` is wall time and is left out).  A change that
 keeps these digests keeps every seeded output of the corpus byte-identical.
 A digest may change only with a stated reason.
+
+The command-line cases stay at small dimensions, so a second set hashes the
+raw bytes of every 2^s-state table and the ``repr`` of every divergence for
+fixed seeded law pairs at the largest dimensions, where a change in rounding
+would otherwise go unseen.
 """
 
 import csv
 import hashlib
 
+import numpy as np
 import pytest
 
 from pcsemi.cli import main
+from pcsemi.perturbed_bernoulli import (
+    MAX_DIM,
+    chi2_exact,
+    kl_bound,
+    kl_exact,
+    mobius_invert,
+    pmf_fourier_vector,
+    pmf_vector,
+    random_spec,
+    superset_sum,
+    support_vector,
+)
 
 CASES = {
     "gen-classical": ["gen", "--model", "classical", "--n", "40", "--s", "10", "--seed", "1"],
@@ -46,6 +64,7 @@ CASES = {
     "bounds-grid": ["bounds", "--mode", "grid", "--trials", "10", "--seed", "1"],
     "verify-column-laws": ["verify", "column-laws", "--trials", "3", "--seed", "2"],
     "verify-local-bounds": ["verify", "local-bounds", "--trials", "2", "--seed", "3"],
+    "verify-pb-bound": ["verify", "pb-bound", "--trials", "6", "--seed", "8"],
     "experiment-coupled-lower": ["experiment", "coupled-lower", "--trials", "6", "--seed", "4"],
     "experiment-oracle-line": ["experiment", "oracle-line", "--trials", "12", "--seed", "5"],
 }
@@ -67,6 +86,12 @@ DIGESTS = {
     "gen-semirandom": "c27c837c7b9e6b25c79119634d440f3cfae1afab363235b7c409d2e3d25f8289",
     "verify-column-laws": "362aab26717088fd0f3d911a225ef5e2810239e3a6ea5206c9e6fa4321cad36b",
     "verify-local-bounds": "3ba780fdd25000572666d0ae074d810b6bf7c66afce477746513bf0dbfb4cb00",
+    "verify-pb-bound": "cba9494a332b248210d35ce334352af73a9a31826bf795bf2ed9ee2f7be79f8b",
+}
+
+LARGE_DIGESTS = {
+    18: "eeacd0733c5e56b3ff11e0f43100e8a50efd0c8113a36f78be22e868bb56357e",
+    MAX_DIM: "8726748cfbc351774c73283aac024b15c58dbf8acc238090f21141369e43103a",
 }
 
 
@@ -85,3 +110,26 @@ def case_digest(name: str, tmp_path) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, tmp_path, capsys):
     assert case_digest(name, tmp_path) == DIGESTS[name]
+
+
+def large_digest(s: int) -> str:
+    """Digest of every table and divergence of one seeded law pair at s."""
+    rng = np.random.default_rng(s)
+    q = float(rng.uniform(0.3, 0.5))
+    a = random_spec(rng, s, q)
+    b = random_spec(rng, s, q, include_empty=True)
+    h = hashlib.sha256()
+    for spec in (a, b):
+        stats = superset_sum(spec)
+        h.update(pmf_vector(spec).tobytes())
+        h.update(pmf_fourier_vector(spec).tobytes())
+        h.update(stats.values.tobytes())
+        h.update(support_vector(spec).tobytes())
+        h.update(repr(sorted(mobius_invert(stats).items())).encode())
+    h.update(repr((kl_exact(a, b), chi2_exact(a, b), kl_bound(a, b))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("s", sorted(LARGE_DIGESTS))
+def test_large_dimension_digest(s):
+    assert large_digest(s) == LARGE_DIGESTS[s]

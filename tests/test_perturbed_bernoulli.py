@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsemi.perturbed_bernoulli import (
+    MAX_DIM,
     PBSpec,
     SupersetStats,
     bernoulli_lift,
@@ -31,6 +32,7 @@ from pcsemi.perturbed_bernoulli import (
     random_spec,
     superset_sum,
 )
+from pcsemi.perturbed_bernoulli import _lattice_transform
 
 
 def brute_pmf(spec: PBSpec, x) -> float:
@@ -240,6 +242,47 @@ class TestSupersetTransform:
         back = mobius_invert(superset_sum(spec))
         for mask in range(1 << s):
             assert back.get(mask, 0.0) == pytest.approx(spec.mass(mask), abs=1e-12)
+
+
+def brute_lattice(values, superset, mobius):
+    """Double loop over each state's subsets (or supersets), with the
+    inclusion-exclusion sign for the Moebius direction."""
+    n = len(values)
+    out = []
+    for x in range(n):
+        total = 0.0
+        for y in range(n):
+            inside = (y & x == x) if superset else (y & x == y)
+            if inside:
+                sign = (-1) ** (x ^ y).bit_count() if mobius else 1
+                total += sign * values[y]
+        out.append(total)
+    return np.array(out)
+
+
+class TestLatticeTransform:
+    @pytest.mark.parametrize("superset", [False, True])
+    @pytest.mark.parametrize("mobius", [False, True])
+    def test_matches_brute_force(self, superset, mobius):
+        rng = np.random.default_rng(5)
+        op = np.subtract if mobius else np.add
+        for s in range(1, 7):
+            values = rng.integers(-9, 10, size=1 << s).astype(float)
+            got = _lattice_transform(values.copy(), op, superset=superset)
+            assert np.array_equal(got, brute_lattice(values, superset, mobius))
+
+    def test_works_in_place(self):
+        values = np.arange(8, dtype=float)
+        assert _lattice_transform(values, np.add) is values
+        assert values[7] == sum(range(8))
+
+    @pytest.mark.parametrize("superset", [False, True])
+    def test_roundtrip_at_max_dim(self, superset):
+        values = np.random.default_rng(MAX_DIM).integers(0, 10, size=1 << MAX_DIM).astype(float)
+        work = _lattice_transform(values.copy(), np.add, superset=superset)
+        assert not np.array_equal(work, values)
+        _lattice_transform(work, np.subtract, superset=superset)
+        assert np.array_equal(work, values)
 
 
 class TestBernoulliLift:

@@ -4,12 +4,13 @@ and the union-bound tail."""
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcsemi.graph_model import AdversarySpec, Graph, gen_semirandom, stream
+from pcsemi.graph_model import AdversarySpec, Graph, gen_coupled, gen_semirandom, stream
 from pcsemi.recovery import (
     degree_refine,
     good_cliques,
@@ -108,6 +109,34 @@ class TestMaximalCliques:
             min_size = int(rng.integers(1, 4))
             got = list(maximal_cliques(g, min_size=min_size).cliques)
             assert got == brute_maximal_cliques(g, min_size)
+
+    @staticmethod
+    def networkx_cliques(graph, min_size):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(graph.n))
+        nxg.add_edges_from(graph.edges())
+        return {frozenset(c) for c in nx.find_cliques(nxg) if len(c) >= min_size}
+
+    def assert_matches_networkx(self, graph, min_size):
+        cs = maximal_cliques(graph, min_size=min_size)
+        assert not cs.truncated
+        assert len(set(cs.cliques)) == len(cs.cliques)
+        assert set(cs.cliques) == self.networkx_cliques(graph, min_size)
+
+    def test_matches_networkx_on_random_graphs(self):
+        rng = np.random.default_rng(23)
+        for n in (10, 25, 40, 60):
+            adj = np.zeros((n, n), dtype=bool)
+            iu = np.triu_indices(n, 1)
+            adj[iu] = rng.random(len(iu[0])) < 0.5
+            self.assert_matches_networkx(Graph(n=n, adj=adj | adj.T), 1)
+
+    def test_matches_networkx_on_coupled_instance(self):
+        self.assert_matches_networkx(gen_coupled(50, 11, 3, 0).graph, 1)
+
+    def test_matches_networkx_with_min_size(self):
+        g = gen_semirandom(60, 12, AdversarySpec.random(0.5), 7).graph
+        self.assert_matches_networkx(g, 5)
 
     def test_no_listed_clique_contains_another(self):
         g = gen_semirandom(40, 6, AdversarySpec.random(0.5), 3).graph
