@@ -113,27 +113,48 @@ def structure_points(planted: tuple[int, int], m: int) -> list[Point]:
     return [((h + r * b) % m, b) for b in range(m)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Symmetric boolean adjacency with a zero diagonal."""
+    """Symmetric boolean adjacency with a zero diagonal.
+
+    The adjacency is stored once, packed: ``rows[i]`` holds row i as
+    ceil(n/8) bytes, bit j of the row at bit j % 8 of byte j // 8
+    (``np.packbits(adj, axis=1, bitorder="little")``), so a graph costs
+    n * ceil(n/8) bytes.  ``adj`` unpacks it into a fresh read-only (n, n)
+    boolean array on every access; ``neighbor_masks`` reads the rows as
+    Python integers for bitset algorithms.
+    """
 
     n: int
-    adj: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        a = np.asarray(self.adj, dtype=bool)
-        if a.shape != (self.n, self.n):
-            raise ValueError(f"adjacency shape {a.shape} != ({self.n}, {self.n})")
+    def __init__(self, n: int, adj: np.ndarray):
+        a = np.asarray(adj, dtype=bool)
+        if a.shape != (n, n):
+            raise ValueError(f"adjacency shape {a.shape} != ({n}, {n})")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
         if a.diagonal().any():
             raise ValueError("diagonal must be zero")
-        a = a.copy()
+        rows = np.packbits(a, axis=1, bitorder="little")
+        rows.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def adj(self) -> np.ndarray:
+        a = np.unpackbits(self.rows, axis=1, count=self.n, bitorder="little").view(bool)
         a.flags.writeable = False
-        object.__setattr__(self, "adj", a)
+        return a
+
+    def neighbor_masks(self) -> list[int]:
+        """Row i as an integer whose bit j is set when i and j are adjacent."""
+        return [int.from_bytes(row.tobytes(), "little") for row in self.rows]
 
     def edge(self, i: int, j: int) -> bool:
-        return bool(self.adj[i, j])
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"vertex pair ({i}, {j}) outside 0..{self.n - 1}")
+        return bool(self.rows[i, j >> 3] >> (j & 7) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         iu, ju = np.nonzero(np.triu(self.adj, 1))

@@ -187,7 +187,7 @@ def pmf_vector(spec: PBSpec) -> np.ndarray:
     """
     s, q = spec.s, spec.q
     z_sigma = _lattice_transform(_dense(spec), np.add)
-    z_sigma *= (1.0 - q) ** (s - _popcounts(s))
+    z_sigma *= ((1.0 - q) ** (s - np.arange(s + 1)))[_popcounts(s)]
     return _lattice_transform(z_sigma, np.subtract)
 
 
@@ -370,7 +370,7 @@ def kl_bound(a: PBSpec, b: PBSpec) -> float:
     s_stats = superset_sum(a).values
     t_stats = superset_sum(b).values
     ratio = (1.0 - q) / q
-    weights = (ratio * max(1.0, ratio)) ** _popcounts(a.s)
+    weights = ((ratio * max(1.0, ratio)) ** np.arange(a.s + 1))[_popcounts(a.s)]
     return float(np.dot(weights, (s_stats - t_stats) ** 2) / tau0)
 
 

@@ -38,28 +38,31 @@ class RecoveryResult:
     truncated: bool
 
 
-def _neighbor_masks(graph: Graph) -> list[int]:
-    masks = []
-    for i in range(graph.n):
-        row = 0
-        for j in np.flatnonzero(graph.adj[i]):
-            row |= 1 << int(j)
-        masks.append(row)
-    return masks
-
-
 def maximal_cliques(graph: Graph, min_size: int = 1, budget: int = DEFAULT_BUDGET) -> CliqueSet:
     """All maximal cliques of size >= min_size by pivoting branch and bound.
 
-    ``budget`` caps the number of expanded search nodes; exhausting it sets
-    the truncated flag on the (partial) result instead of discarding it.
+    Each search node extends ``members`` by candidates ``cand``, with
+    ``done`` the vertices already branched on.  Let need = min_size -
+    |members| - 1.  Before it branches, a node peels ``cand`` to a
+    fixpoint: a candidate with fewer than ``need`` neighbours in ``cand``
+    lies in no clique of size >= min_size that extends ``members``, so it is
+    dropped, and the node is cut once |cand| <= need.  The pivot is the
+    vertex of cand | done with the most neighbours in ``cand``
+    (Tomita-Tanaka-Takahashi); the same scoring pass drops every ``done``
+    vertex with at most ``need`` neighbours in ``cand``, which is adjacent
+    to all of no such clique.
+
+    ``budget`` caps the number of search nodes, which are the nodes of the
+    peeled tree; exhausting it sets the truncated flag on the (partial)
+    result instead of discarding it.  Every listed clique is maximal and of
+    size >= min_size either way.
     """
     if graph.n > 512:
         raise ValueError(f"enumeration capped at n <= 512, got n={graph.n}")
     if budget <= 0:
         raise ValueError("budget must be positive")
     min_size = max(min_size, 1)
-    nbr = _neighbor_masks(graph)
+    nbr = graph.neighbor_masks()
     found: list[frozenset[int]] = []
     state = {"nodes": 0, "truncated": False}
 
@@ -70,30 +73,34 @@ def maximal_cliques(graph: Graph, min_size: int = 1, budget: int = DEFAULT_BUDGE
         if state["nodes"] > budget:
             state["truncated"] = True
             return
-        if cand == 0 and done == 0:
-            if len(members) >= min_size:
+        if not cand:
+            if not done and len(members) >= min_size:
                 found.append(frozenset(members))
             return
-        if len(members) + cand.bit_count() < min_size:
-            return
-        pool = cand | done
+        need = min_size - len(members) - 1
+        if need > 0:
+            cand = _peel(cand, need, nbr)
+            if not cand:
+                return
         pivot, best = -1, -1
+        pool = cand | done
         while pool:
-            bit = pool & -pool
-            u = bit.bit_length() - 1
-            pool ^= bit
+            u = pool.bit_length() - 1
+            pool ^= 1 << u
             score = (cand & nbr[u]).bit_count()
             if score > best:
                 best, pivot = score, u
+            if score <= need:
+                done &= ~(1 << u)
         ext = cand & ~nbr[pivot]
         while ext:
-            bit = ext & -ext
-            v = bit.bit_length() - 1
+            v = ext.bit_length() - 1
+            bit = 1 << v
             ext ^= bit
             expand(members + [v], cand & nbr[v], done & nbr[v])
             if state["truncated"]:
                 return
-            cand &= ~bit
+            cand ^= bit
             done |= bit
 
     expand([], (1 << graph.n) - 1, 0)
@@ -106,6 +113,27 @@ def maximal_cliques(graph: Graph, min_size: int = 1, budget: int = DEFAULT_BUDGE
     )
 
 
+def _peel(cand: int, need: int, nbr: list[int]) -> int:
+    """``cand`` without its vertices of fewer than ``need`` neighbours in
+    it, repeated to a fixpoint; 0 once at most ``need`` vertices remain."""
+    verts = []
+    rest = cand
+    while rest:
+        top = rest.bit_length() - 1
+        verts.append(top)
+        rest ^= 1 << top
+    while True:
+        keep = [u for u in verts if (cand & nbr[u]).bit_count() >= need]
+        if len(keep) <= need:
+            return 0
+        if len(keep) == len(verts):
+            return cand
+        cand = 0
+        for u in keep:
+            cand |= 1 << u
+        verts = keep
+
+
 def intersection_threshold(n: int) -> int:
     """Largest allowed overlap between good cliques: floor(3 log2 n)."""
     if n < 1:
@@ -113,25 +141,31 @@ def intersection_threshold(n: int) -> int:
     return math.floor(3.0 * math.log2(n)) if n > 1 else 0
 
 
-def good_cliques(cliques: CliqueSet, s: int, n: int) -> CliqueSet:
-    """Keep size->=s cliques whose pairwise overlaps stay within the
-    threshold; both members of an offending pair are dropped.
+def _drop_overlapping(sets: Sequence[frozenset[int]], thr: int) -> list[frozenset[int]]:
+    """The sets that overlap every other listed set in at most ``thr``
+    vertices, in their given order; both members of an offending pair are
+    dropped.
 
     Only pairs with both sizes above the threshold can offend (the overlap
     is at most the smaller size), so the quadratic scan is restricted to
     those.
     """
-    thr = intersection_threshold(n)
-    big = [c for c in cliques.cliques if len(c) >= s]
-    over = [c for c in big if len(c) > thr]
+    over = [c for c in sets if len(c) > thr]
     bad: set[frozenset[int]] = set()
     for i in range(len(over)):
         for j in range(i + 1, len(over)):
             if len(over[i] & over[j]) > thr:
                 bad.add(over[i])
                 bad.add(over[j])
+    return [c for c in sets if c not in bad]
+
+
+def good_cliques(cliques: CliqueSet, s: int, n: int) -> CliqueSet:
+    """Keep size->=s cliques whose pairwise overlaps stay within the
+    threshold; both members of an offending pair are dropped."""
+    big = [c for c in cliques.cliques if len(c) >= s]
     return CliqueSet(
-        cliques=tuple(c for c in big if c not in bad),
+        cliques=tuple(_drop_overlapping(big, intersection_threshold(n))),
         min_size=max(cliques.min_size, s),
         budget_used=cliques.budget_used,
         truncated=cliques.truncated,
@@ -191,13 +225,7 @@ def refine_and_select(
         if len(tightened) >= s and is_clique(graph, tightened):
             refined.append(tightened)
     refined = sorted(set(refined), key=lambda c: tuple(sorted(c)))
-    bad: set[frozenset[int]] = set()
-    for i in range(len(refined)):
-        for j in range(i + 1, len(refined)):
-            if len(refined[i] & refined[j]) > thr:
-                bad.add(refined[i])
-                bad.add(refined[j])
-    survivors = [c for c in refined if c not in bad and v in c]
+    survivors = [c for c in _drop_overlapping(refined, thr) if v in c]
     return survivors[0] if len(survivors) == 1 else frozenset()
 
 

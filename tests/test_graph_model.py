@@ -52,6 +52,32 @@ class TestGraphType:
         g = Graph.from_edges(4, [(0, 2), (1, 3)])
         assert g.edges() == [(0, 2), (1, 3)]
 
+    def test_shape_enforced(self):
+        with pytest.raises(ValueError, match="shape"):
+            Graph(n=3, adj=np.zeros((3, 4), dtype=bool))
+        with pytest.raises(ValueError, match="shape"):
+            Graph(n=4, adj=np.zeros((3, 3), dtype=bool))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 200])
+    def test_packed_adjacency_roundtrip(self, n):
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < 0.5, 1)
+        adj = upper | upper.T
+        g = Graph(n=n, adj=adj)
+        assert g.rows.shape == (n, (n + 7) // 8)
+        got = g.adj
+        assert got.dtype == bool and got.shape == (n, n)
+        assert np.array_equal(got, adj)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = True
+        masks = g.neighbor_masks()
+        assert len(masks) == n
+        for i in range(n):
+            assert [masks[i] >> j & 1 for j in range(n)] == adj[i].tolist()
+            assert masks[i] >> n == 0
+        assert all(g.edge(i, j) == adj[i, j] for i in range(min(n, 9)) for j in range(n))
+
     def test_edge_indices_must_be_vertices(self):
         for bad in [(-1, 2), (0, 4), (4, 5)]:
             with pytest.raises(ValueError, match="outside vertices"):

@@ -32,7 +32,7 @@ from pcsemi.perturbed_bernoulli import (
     random_spec,
     superset_sum,
 )
-from pcsemi.perturbed_bernoulli import _lattice_transform
+from pcsemi.perturbed_bernoulli import _lattice_transform, _popcounts
 
 
 def brute_pmf(spec: PBSpec, x) -> float:
@@ -283,6 +283,39 @@ class TestLatticeTransform:
         assert not np.array_equal(work, values)
         _lattice_transform(work, np.subtract, superset=superset)
         assert np.array_equal(work, values)
+
+
+class TestPowerLookup:
+    """``pmf_vector`` and ``kl_bound`` look the per-state powers base^k up in
+    a table of the s + 1 distinct exponents instead of raising the base to a
+    2^s-entry exponent array; the two must agree bit for bit."""
+
+    @pytest.mark.parametrize("s", [2, 8, 14, 16, 18, 20])
+    def test_table_equals_elementwise_power(self, s):
+        rng = np.random.default_rng(s)
+        pop = _popcounts(s)
+        exps = np.arange(s + 1)
+        for q in rng.uniform(0.0, 1.0, size=64):
+            assert np.array_equal(((1.0 - q) ** (s - exps))[pop], (1.0 - q) ** (s - pop))
+        for ratio in rng.uniform(0.0, 9.0, size=64):
+            base = ratio * max(1.0, ratio)
+            assert np.array_equal((base**exps)[pop], base**pop)
+
+    def test_functions_match_elementwise_power(self):
+        rng = np.random.default_rng(41)
+        for s in (2, 8, 14):
+            pop = _popcounts(s)
+            for _ in range(8):
+                q = float(rng.uniform(0.05, 0.95))
+                a = random_spec(rng, s, q)
+                b = random_spec(rng, s, q, include_empty=True)
+                z = _lattice_transform(np.array([a.mass(m) for m in range(1 << s)]), np.add)
+                z *= (1.0 - q) ** (s - pop)
+                assert np.array_equal(pmf_vector(a), _lattice_transform(z, np.subtract))
+                ratio = (1.0 - q) / q
+                diff = superset_sum(a).values - superset_sum(b).values
+                expected = float(np.dot((ratio * max(1.0, ratio)) ** pop, diff**2) / b.mass(0))
+                assert kl_bound(a, b) == expected
 
 
 class TestBernoulliLift:

@@ -138,6 +138,58 @@ class TestMaximalCliques:
         g = gen_semirandom(60, 12, AdversarySpec.random(0.5), 7).graph
         self.assert_matches_networkx(g, 5)
 
+    @pytest.mark.parametrize(
+        "n, s, seed, min_sizes",
+        [
+            (60, 12, 0, range(1, 13)),
+            (60, 12, 1, range(1, 13)),
+            # small min_size lists ~24k cliques at n = 100; 1 stands for them
+            (100, 20, 2, (1, *range(9, 21))),
+        ],
+    )
+    def test_pruned_enumeration_matches_networkx(self, n, s, seed, min_sizes):
+        g = gen_semirandom(n, s, AdversarySpec.extra_cliques(2), seed).graph
+        reference = self.networkx_cliques(g, 1)
+        for min_size in min_sizes:
+            cs = maximal_cliques(g, min_size=min_size)
+            assert not cs.truncated
+            assert set(cs.cliques) == {c for c in reference if len(c) >= min_size}
+
+    def test_matches_brute_force_up_to_min_size_six(self):
+        rng = np.random.default_rng(17)
+        for trial in range(25):
+            n = int(rng.integers(4, 17))
+            adj = np.zeros((n, n), dtype=bool)
+            iu = np.triu_indices(n, 1)
+            adj[iu] = rng.random(len(iu[0])) < 0.5
+            g = Graph(n=n, adj=adj | adj.T)
+            rng.integers(1, 4)  # keep the graphs of test_matches_brute_force
+            every = brute_maximal_cliques(g, 1)
+            for min_size in range(1, 7):
+                got = list(maximal_cliques(g, min_size=min_size).cliques)
+                assert got == [c for c in every if len(c) >= min_size]
+
+    def test_truncated_run_lists_maximal_cliques_only(self):
+        g = gen_semirandom(60, 12, AdversarySpec.extra_cliques(2), 3).graph
+        for min_size in (1, 6, 10):
+            full = maximal_cliques(g, min_size=min_size)
+            for budget in (1, 7, 50, full.budget_used // 2):
+                part = maximal_cliques(g, min_size=min_size, budget=budget)
+                assert part.truncated
+                assert part.budget_used == budget + 1
+                assert set(part.cliques) <= set(full.cliques)
+                assert all(len(c) >= min_size and is_clique(g, c) for c in part.cliques)
+
+    def test_peeling_keeps_recovery_search_small(self):
+        """A recovery-n200 benchmark instance (n = 200, s = 30, two decoy
+        cliques, seed 1): 49,527 nodes without the degree peel, 2,688 with
+        it."""
+        g = gen_semirandom(200, 30, AdversarySpec.extra_cliques(2), 1).graph
+        first = maximal_cliques(g, min_size=30)
+        assert not first.truncated
+        assert first.budget_used < 10_000
+        assert maximal_cliques(g, min_size=30).budget_used == first.budget_used
+
     def test_no_listed_clique_contains_another(self):
         g = gen_semirandom(40, 6, AdversarySpec.random(0.5), 3).graph
         cs = maximal_cliques(g, min_size=3)
