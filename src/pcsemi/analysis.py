@@ -108,22 +108,23 @@ def column_law_lines(state: AssignmentState) -> ColumnLaw:
     lines hit exactly the clique coordinates J."""
     if state.mode != "lines":
         raise ValueError("state is not in line mode")
-    cands = state.unused_candidates()
-    if not cands:
+    masks = state.masks[state.free]
+    denom = len(masks)
+    if not denom:
         raise ValueError("no unused off-line points remain")
-    denom = len(cands)
     s = len(state.clique_points)
-    forced = state.forced(cands)
-    masks = forced @ (1 << np.arange(s, dtype=np.int64))
-    sigma_counts = dict(Counter(masks.tolist()))
-    counts = tuple(state.forced(state.prior_points).sum(axis=0).tolist())
+    # distinct masks, keyed in order of first occurrence
+    keys, first, tally = np.unique(masks, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    sigma_counts = dict(zip(keys[order].tolist(), tally[order].tolist()))
+    hits = tally @ ((keys[:, None] >> np.arange(s)) & 1)  # candidates forcing j
     spec = PBSpec(
         s=s, q=state.q, sigma={mask: c / denom for mask, c in sigma_counts.items()}
     )
     return ColumnLaw(
         spec=spec,
-        pi=tuple(c / denom for c in forced.sum(axis=0).tolist()),
-        counts=counts,
+        pi=tuple(c / denom for c in hits.tolist()),
+        counts=tuple(state.prior_hits.tolist()),
         denominator=denom,
         sigma_counts=sigma_counts,
     )
@@ -150,11 +151,11 @@ def random_prefix_state(
     state = AssignmentState(
         mode=mode, m=m, k=k, q=q, planted=planted, clique_points=cpts
     )
-    cands = state.unused_candidates()
-    if d > len(cands):
-        raise ValueError(f"prefix length {d} exceeds {len(cands)} candidates")
-    for idx in rng.permutation(len(cands))[:d]:
-        state = state.with_point(cands[int(idx)])
+    free = np.flatnonzero(state.free)
+    if d > len(free):
+        raise ValueError(f"prefix length {d} exceeds {len(free)} candidates")
+    for idx in free[rng.permutation(len(free))[:d]].tolist():
+        state = state.with_point(divmod(idx, m))
     return state
 
 
@@ -304,7 +305,7 @@ def chained_kl_bound(
     for t in range(trials):
         rng = stream(seed, "chain", t)
         state = random_prefix_state(rng, mode, m, k, s, 0)
-        cands = state.unused_candidates()
+        cands = np.flatnonzero(state.free).tolist()
         if cols - 1 > len(cands):
             raise ValueError("not enough off-structure points for the prefix")
         ref = reference_law(state.q, s)
@@ -318,7 +319,7 @@ def chained_kl_bound(
             per_exact[t, idx] = kl_exact(law.spec, ref)
             if idx < cols - 1:
                 pick = cands.pop(int(rng.integers(len(cands))))
-                state = state.with_point(pick)
+                state = state.with_point(divmod(pick, m))
     totals_exact = per_exact.sum(axis=1)
     totals_bound = per_bound.sum(axis=1)
     terms, hyp = closed_form_chain_terms(mode, n, m, k, s)
@@ -845,6 +846,10 @@ def jaccard_experiment(
     result is identical for any thread count; outputs are ordered by trial
     index.
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got trials={trials}")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got threads={threads}")
     args = [
         (model, estimator, seed, t, n, s, m, k, adversary, budget)
         for t in range(trials)

@@ -431,6 +431,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
     if p["trials"] is None:
         p["trials"] = 500 if suite == "pb-bound" else 50
+    if int(p["trials"]) < 1:
+        raise ValueError(f"need --trials >= 1, got {p['trials']}")
     header, rows, bad = _SUITES[suite](p)
     outputs = _emit_csv(header, rows, p["csv"])
     print(f"suite={suite} cases={len(rows)} violations={bad}", file=sys.stderr)

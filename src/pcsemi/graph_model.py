@@ -11,6 +11,13 @@ remaining edges are independent coins whose rate q is calibrated so that
 edges between a design clique and a fresh vertex look exactly like fair
 coins.
 
+Coupled generation and the column laws work on grid indices: ``_label_table``
+caches, per (mode, m, k), the m^2 grid points in (a, b) order and their
+labels, and an ``AssignmentState`` derives from it, once per lineage, the
+forced table of every grid point against its clique and a mask of the free
+(off-structure, unassigned) points, which ``with_point`` updates in place
+of a rebuild.
+
 Randomness: every generator derives named substreams from (seed, path) via a
 counter-based Philox generator keyed by a blake2b hash, so identical seeds
 give bit-identical instances and per-vertex streams are reproducible in any
@@ -22,6 +29,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,25 +38,21 @@ import numpy as np
 Point = tuple[int, int]
 
 
+def _path_digest(seed: int, path: tuple, size: int) -> bytes:
+    """blake2b digest of the text path "seed/part/part/..."."""
+    text = "/".join([str(int(seed)), *map(str, path)])
+    return hashlib.blake2b(text.encode(), digest_size=size).digest()
+
+
 def stream(seed: int, *path) -> np.random.Generator:
     """Independent, reproducible substream keyed by (seed, path)."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(int(seed)).encode())
-    for part in path:
-        h.update(b"/")
-        h.update(str(part).encode())
-    key = np.frombuffer(h.digest(), dtype=np.uint64)
+    key = np.frombuffer(_path_digest(seed, path, 16), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def stream_seed(seed: int, *path) -> int:
     """63-bit derived seed, for handing to generators that want an int."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(int(seed)).encode())
-    for part in path:
-        h.update(b"/")
-        h.update(str(part).encode())
-    return int.from_bytes(h.digest(), "big") >> 1
+    return int.from_bytes(_path_digest(seed, path, 8), "big") >> 1
 
 
 def is_prime(m: int) -> bool:
@@ -98,12 +103,24 @@ def design_labels(points, mode: str, m: int, k: int) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _share_label(lab_l: np.ndarray, lab_r: np.ndarray) -> np.ndarray:
+    return (lab_l[:, None, :] == lab_r[None, :, :]).any(axis=2)
+
+
 def related(left, right, mode: str, m: int, k: int) -> np.ndarray:
     """Boolean (len(left), len(right)) matrix: the two points share a label
     in the same family.  A point is related to itself."""
-    lab_l = design_labels(left, mode, m, k)
-    lab_r = design_labels(right, mode, m, k)
-    return (lab_l[:, None, :] == lab_r[None, :, :]).any(axis=2)
+    return _share_label(design_labels(left, mode, m, k), design_labels(right, mode, m, k))
+
+
+@lru_cache(maxsize=16)
+def _label_table(mode: str, m: int, k: int) -> tuple[tuple[Point, ...], np.ndarray]:
+    """The m^2 grid points in (a, b) order, entry a * m + b holding (a, b),
+    and their read-only ``design_labels``."""
+    grid = np.stack(np.divmod(np.arange(m * m), m), axis=1)
+    labels = design_labels(grid, mode, m, k)
+    labels.flags.writeable = False
+    return tuple(map(tuple, grid.tolist())), labels
 
 
 def structure_points(planted: tuple[int, int], m: int) -> list[Point]:
@@ -420,7 +437,24 @@ class AssignmentState:
 
     Holds the planted structure, the clique's points, and the off-structure
     points assigned so far; the next column index is implied by the prefix
-    length.
+    length.  Only these seven fields take part in equality, hashing and
+    ``repr``.
+
+    The constructor also derives, once per lineage, index-native views over
+    the m^2 grid points in (a, b) order (row a * m + b of ``_label_table``):
+
+    - ``forced``: bool (m^2, s), whether grid point i shares a design label
+      with clique point j, i.e. forces the edge to clique coordinate j;
+    - ``masks``: int64 (m^2,), the rows of ``forced`` as bit masks (bit j
+      for coordinate j), the subset J of a column law; exact for s < 63,
+      and column laws stop at s = MAX_DIM = 20;
+    - ``free``: bool (m^2,), off the planted structure and not yet assigned;
+    - ``prior_hits``: int64 (s,), prior points forcing each coordinate,
+      counted once per occurrence.
+
+    ``with_point`` hands ``forced`` and ``masks`` on by reference and copies
+    only ``free`` and ``prior_hits``, so a chain of d steps builds the
+    clique table once.
     """
 
     mode: str
@@ -430,37 +464,52 @@ class AssignmentState:
     planted: tuple[int, int]  # (slope, offset); grid mode plants row `offset`
     clique_points: tuple[Point, ...]
     prior_points: tuple[Point, ...] = ()
+    forced: np.ndarray = field(init=False, compare=False, repr=False)
+    masks: np.ndarray = field(init=False, compare=False, repr=False)
+    free: np.ndarray = field(init=False, compare=False, repr=False)
+    prior_hits: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        m = self.m
+        _, labels = _label_table(self.mode, m, self.k)
+        r, h = self.planted
+        free = labels[:, r] != h % m
+        forced = _share_label(labels, design_labels(self.clique_points, self.mode, m, self.k))
+        used = np.asarray(self.prior_points, dtype=np.int64).reshape(-1, 2)
+        used = used[:, 0] * m + used[:, 1]
+        free[used] = False
+        forced.flags.writeable = False
+        masks = forced @ (1 << np.arange(forced.shape[1], dtype=np.int64))
+        masks.flags.writeable = False
+        object.__setattr__(self, "forced", forced)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "prior_hits", forced[used].sum(axis=0))
 
     def unused_candidates(self) -> list[Point]:
         """Off-structure points not yet assigned, in (a, b) lexicographic
         order."""
-        grid = np.stack(np.divmod(np.arange(self.m * self.m), self.m), axis=1)
-        r, h = self.planted
-        free = design_labels(grid, self.mode, self.m, self.k)[:, r] != h % self.m
-        if self.prior_points:
-            used = np.asarray(self.prior_points)
-            free[used[:, 0] * self.m + used[:, 1]] = False
-        return list(map(tuple, grid[free].tolist()))
-
-    def forced(self, points) -> np.ndarray:
-        """Boolean (len(points), s) matrix: the clique coordinates whose edge
-        each point forces."""
-        return related(points, self.clique_points, self.mode, self.m, self.k)
+        points, _ = _label_table(self.mode, self.m, self.k)
+        return list(compress(points, self.free.tolist()))
 
     def perturb_mask(self, p: Point) -> int:
         """Bit mask of clique coordinates whose edge the point forces."""
-        return sum(1 << j for j in np.flatnonzero(self.forced([p])[0]).tolist())
+        row = self.forced[p[0] * self.m + p[1]]
+        return sum(1 << j for j in np.flatnonzero(row).tolist())
 
     def with_point(self, p: Point) -> "AssignmentState":
-        return AssignmentState(
-            mode=self.mode,
-            m=self.m,
-            k=self.k,
-            q=self.q,
-            planted=self.planted,
-            clique_points=self.clique_points,
+        idx = p[0] * self.m + p[1]
+        free = self.free.copy()
+        free[idx] = False
+        # a shallow copy, without the constructor's rebuild of the tables
+        child = object.__new__(AssignmentState)
+        child.__dict__.update(
+            self.__dict__,
             prior_points=self.prior_points + (p,),
+            free=free,
+            prior_hits=self.prior_hits + self.forced[idx],
         )
+        return child
 
 
 def column_weights(state: AssignmentState, column: Sequence[int]) -> tuple[list[Point], np.ndarray]:
@@ -469,21 +518,20 @@ def column_weights(state: AssignmentState, column: Sequence[int]) -> tuple[list[
     Weight of point p with forced set J: prod_{j in J} 1[column_j = 1] *
     prod_{j not in J} q^{column_j} (1-q)^{1-column_j}.
     """
-    cands = state.unused_candidates()
-    if not cands:
+    forced = state.forced[state.free]
+    if not len(forced):
         raise ValueError("no unused off-structure points remain")
     col = [int(c) for c in column]
     if len(col) != len(state.clique_points):
         raise ValueError("column length does not match the clique size")
     q = state.q
-    forced = state.forced(cands)
     # one coordinate at a time, in j order, so every weight is the same
     # float product as the scalar definition; a forced coordinate
     # contributes 1[column_j = 1]
-    weights = np.ones(len(cands))
+    weights = np.ones(len(forced))
     for j, c in enumerate(col):
         weights *= np.where(forced[:, j], 1.0, q) if c else np.where(forced[:, j], 0.0, 1.0 - q)
-    return cands, weights
+    return state.unused_candidates(), weights
 
 
 def conditional_assignment(
@@ -501,7 +549,7 @@ def conditional_assignment(
     if total <= 0.0:
         return cands[int(rng.integers(len(cands)))]
     u = rng.random() * total
-    return cands[int(np.searchsorted(np.cumsum(weights), u, side="right").clip(0, len(cands) - 1))]
+    return cands[min(int(np.searchsorted(np.cumsum(weights), u, side="right")), len(cands) - 1)]
 
 
 def hypergeometric_sample(

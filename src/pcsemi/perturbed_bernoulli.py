@@ -221,9 +221,8 @@ def pmf_fourier_vector(spec: PBSpec) -> np.ndarray:
         present *= factor_one
         present += absent
         absent[...] = contracted
-    pop = _popcounts(s)
-    coins = q**pop * (1.0 - q) ** (s - pop)
-    return coins * acc
+    a = np.arange(s + 1)
+    return (q**a * (1.0 - q) ** (s - a))[_popcounts(s)] * acc
 
 
 def pb_sample(spec: PBSpec, rng: np.random.Generator) -> np.ndarray:

@@ -102,6 +102,46 @@ class TestColumnLawLines:
                 law.denominator,
             ) == Fraction((k - 1) * (m - 1), m * m - m)
 
+    def test_matches_bowtie_enumeration(self):
+        """Every field of the law equals a brute-force tally over the grid
+        with the scalar ``bowtie`` relation, keys in first-occurrence
+        order, on random prefixes including the empty one."""
+        rng = np.random.default_rng(21)
+        for m, k in [(7, 2), (7, 3), (11, 2), (11, 3), (13, 3)]:
+            for d in (0, 1, int(rng.integers(2, m * m - m))):
+                s = int(rng.integers(1, 5))
+                state = random_prefix_state(rng, "lines", m, k, s, d)
+                r, h = state.planted
+                used = set(state.prior_points)
+                tally = {}
+                for a in range(m):
+                    for b in range(m):
+                        if (a - r * b) % m == h % m or (a, b) in used:
+                            continue
+                        mask = sum(
+                            1 << j
+                            for j, c in enumerate(state.clique_points)
+                            if bowtie((a, b), c, m, k)
+                        )
+                        tally[mask] = tally.get(mask, 0) + 1
+                law = column_law_lines(state)
+                denom = sum(tally.values())
+                assert law.denominator == denom == m * m - m - d
+                assert list(law.sigma_counts.items()) == list(tally.items())
+                for j, c in enumerate(state.clique_points):
+                    forcing = sum(n for mask, n in tally.items() if mask >> j & 1)
+                    assert law.pi[j] == forcing / denom
+                    assert law.counts[j] == sum(
+                        1 for p in state.prior_points if bowtie(p, c, m, k)
+                    )
+
+    def test_exhausted_prefix_rejected(self):
+        m = 7
+        state = random_prefix_state(np.random.default_rng(4), "lines", m, 2, 3, m * m - m)
+        assert state.unused_candidates() == []
+        with pytest.raises(ValueError, match="no unused"):
+            column_law_lines(state)
+
     def test_singleton_rates_match_occupancy_formula(self):
         """Enumerated S({j}) equals ((k-1)(m-1) - N(j)) / (m^2 - m - d) as
         exact rationals, for random prefixes."""

@@ -4,6 +4,8 @@ outputs, manifests, and the verification suites' wiring."""
 import csv
 import json
 
+import pytest
+
 from pcsemi.cli import main
 
 
@@ -180,6 +182,19 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "suite", ["pb-bound", "column-laws", "local-bounds", "chain", "hg", "union-bound"]
+    )
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_nonpositive_trials_is_usage_error(self, suite, trials, tmp_path, capsys):
+        csv_path = tmp_path / "v.csv"
+        code, out, err = run(
+            capsys, "verify", suite, "--trials", trials, "--csv", str(csv_path)
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "trials" in err
+        assert not csv_path.exists()
+
 
 class TestBounds:
     def test_ledger_csv_shape(self, tmp_path, capsys):
@@ -229,6 +244,19 @@ class TestExperiment:
     def test_unknown_tag(self, capsys):
         code, _, err = run(capsys, "experiment", "bogus")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--trials", "0"], ["--trials", "-3"], ["--threads", "0"], ["--threads", "-1"]]
+    )
+    def test_nonpositive_counts_are_usage_errors(self, flags, tmp_path, capsys):
+        csv_path = tmp_path / "e.csv"
+        code, out, err = run(
+            capsys, "experiment", "coupled-lower", "--trials", "2", *flags,
+            "--csv", str(csv_path),
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and flags[0][2:] in err
+        assert not csv_path.exists()
 
     def test_empty_size_window(self, capsys):
         code, _, err = run(

@@ -61,6 +61,11 @@ CASES = {
         "bounds", "--mode", "lines", "--n", "30", "--m", "37", "--k", "3", "--s", "2",
         "--trials", "3", "--seed", "6",
     ],
+    # the ledger-lines benchmark configuration
+    "bounds-lines-60": [
+        "bounds", "--mode", "lines", "--n", "60", "--m", "29", "--k", "2", "--s", "3",
+        "--trials", "2", "--seed", "0",
+    ],
     "bounds-grid": ["bounds", "--mode", "grid", "--trials", "10", "--seed", "1"],
     "verify-column-laws": ["verify", "column-laws", "--trials", "3", "--seed", "2"],
     "verify-local-bounds": ["verify", "local-bounds", "--trials", "2", "--seed", "3"],
@@ -72,6 +77,7 @@ CASES = {
 DIGESTS = {
     "bounds-grid": "0202b7ed2afce1cb3db9abfa71e4a5129aa1904c176c2314820e64032d09e68f",
     "bounds-lines": "ffe6e39644fc78a28cedf0fea7f8bb101af9bdb57d753aeb55db2aee305faebb",
+    "bounds-lines-60": "7f1c6bddfc9a38972290c6ba07cc44d340dd672ae43ead09be27df7468eb256a",
     "bounds-lines-k3": "aa8ecdfc40aa37c16ae81873fd441f6436ed5a7deb9710a2e1cd981e120a2e47",
     "experiment-coupled-lower": "b133e71892663909924e97eef4017419d56b6a406d54581ad1f898452e28d879",
     "experiment-oracle-line": "5dbb93273df14df5b87b1a7e6d81d2e083a71ae26b73d2b64ca66a3436a4da28",

@@ -1,6 +1,7 @@
 """Tests for the graph generators, the coupled construction, and the
 instance file format."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -437,6 +438,86 @@ class TestConditionalAssignment:
             state = state.with_point(p)
         with pytest.raises(ValueError):
             conditional_assignment(state, [0, 0], np.random.default_rng(0))
+
+
+def line_state(m, k, s, rng):
+    """Fresh line-mode state with a random planted line and s clique points."""
+    from pcsemi.analysis import random_prefix_state
+
+    return random_prefix_state(rng, "lines", m, k, s, 0)
+
+
+class TestAssignmentStateArrays:
+    """The derived arrays a state carries along a ``with_point`` chain agree
+    with those the constructor builds from the whole prefix."""
+
+    def test_constructor_and_chain_agree(self):
+        from pcsemi.analysis import column_law_lines
+
+        rng = np.random.default_rng(11)
+        for m, k, s in [(7, 2, 2), (11, 3, 4), (13, 2, 3)]:
+            base = line_state(m, k, s, rng)
+            cands = base.unused_candidates()
+            prior = [cands[int(i)] for i in rng.permutation(len(cands))[: 2 * m]]
+            chained = base
+            for p in prior:
+                chained = chained.with_point(p)
+            built = dataclasses.replace(base, prior_points=tuple(prior))
+            assert built == chained
+            assert built.unused_candidates() == chained.unused_candidates()
+            assert column_law_lines(built) == column_law_lines(chained)
+            for _ in range(5):
+                column = (rng.random(s) < 0.5).astype(int)
+                cb, wb = column_weights(built, column)
+                cc, wc = column_weights(chained, column)
+                assert cb == cc and wb.tobytes() == wc.tobytes()
+            for name in ("forced", "masks", "free", "prior_hits"):
+                assert np.array_equal(getattr(built, name), getattr(chained, name))
+
+    def test_prior_hits_count_every_occurrence(self):
+        state = line_state(11, 3, 4, np.random.default_rng(3))
+        p = state.unused_candidates()[0]
+        twice = state.with_point(p).with_point(p)
+        expected = [2 * bowtie(p, c, 11, 3) for c in state.clique_points]
+        assert twice.prior_hits.tolist() == expected
+        built = dataclasses.replace(state, prior_points=(p, p))
+        assert built.prior_hits.tolist() == expected
+
+    def test_parent_unchanged_by_with_point(self):
+        state = line_state(11, 2, 3, np.random.default_rng(5))
+        free, hits = state.free.copy(), state.prior_hits.copy()
+        cands = state.unused_candidates()
+        child = state
+        for p in cands[:40]:
+            child = child.with_point(p)
+        assert np.array_equal(state.free, free)
+        assert np.array_equal(state.prior_hits, hits)
+        assert state.prior_points == ()
+        assert state.unused_candidates() == cands
+        assert child.free is not state.free and child.forced is state.forced
+        assert len(child.unused_candidates()) == len(cands) - 40
+
+    def test_equality_and_hash_ignore_derived_arrays(self):
+        state = line_state(13, 2, 3, np.random.default_rng(8))
+        p, r = state.unused_candidates()[:2]
+        a = state.with_point(p).with_point(r)
+        b = dataclasses.replace(state, prior_points=(p, r))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != state.with_point(r).with_point(p)
+        assert "free" not in repr(a) and "forced" not in repr(a)
+
+    def test_perturb_mask_matches_bowtie(self):
+        state = line_state(11, 3, 4, np.random.default_rng(2))
+        for a in range(11):
+            for b in range(11):
+                expected = sum(
+                    1 << j
+                    for j, c in enumerate(state.clique_points)
+                    if bowtie((a, b), c, 11, 3)
+                )
+                assert state.perturb_mask((a, b)) == expected
+                assert int(state.masks[a * 11 + b]) == expected
 
 
 class TestHypergeometricSample:
