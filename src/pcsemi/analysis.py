@@ -15,6 +15,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -40,6 +41,7 @@ from .perturbed_bernoulli import (
     bernoulli_lift,
     kl_exact,
     superset_sum,
+    _or_coins,
     _popcounts,
 )
 from .recovery import DEFAULT_BUDGET, jaccard, recover, refine_and_select
@@ -164,16 +166,11 @@ def random_prefix_state(
 # ---------------------------------------------------------------------------
 
 
-_REFERENCE_CACHE: dict[tuple[float, int], PBSpec] = {}
-
-
+@lru_cache(maxsize=None)
 def reference_law(q: float, s: int) -> PBSpec:
     """Fair-coin column law materialized at base rate q, so the closed-form
     bound's shared-rate precondition holds."""
-    key = (q, s)
-    if key not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE[key] = bernoulli_lift(q, 0.5, s)
-    return _REFERENCE_CACHE[key]
+    return bernoulli_lift(q, 0.5, s)
 
 
 def kl_local_bound_grid(law: ColumnLaw, m: int) -> float:
@@ -201,15 +198,12 @@ def kl_local_bound_lines(law: ColumnLaw, n: int, m: int, k: int) -> float:
         raise ValueError(f"line bound needs s <= m/(2k) - 4, got s={s}, m={m}, k={k}")
     if 2 * n > m * (m - 1):
         raise ValueError(f"line bound needs n <= m(m-1)/2, got n={n}, m={m}")
-    stats = superset_sum(law.spec)
-    pops = _popcounts(law.spec.s)
-    tail = float(stats.values[pops >= 2].sum())
     target = (k - 1) / m
     drift = sum((p - target) ** 2 for p in law.pi)
     return (
         3.0 * drift
         + 12.0 * k**4 * s * s / m**4
-        + 12.0 * k**2 / m**2 * tail
+        + 12.0 * k**2 / m**2 * pair_tail_mass(law)
     )
 
 
@@ -401,7 +395,6 @@ def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray
     pts = [(a, b) for a in range(m) for b in range(m)]
     rel = related(pts, pts, mode, m, k).tolist()  # assignments are distinct
     pairs, _ = _pairs(n)
-    npairs = len(pairs)
     forced_tally: Counter[int] = Counter()
     for assign in itertools.permutations(range(m * m), n):
         f = 0
@@ -409,15 +402,10 @@ def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray
             if rel[assign[i]][assign[j]]:
                 f |= 1 << bit
         forced_tally[f] += 1
-    graphs = np.arange(1 << npairs, dtype=np.int64)
-    pop = _popcounts(npairs)
-    vec = np.zeros(1 << npairs)
-    for f, c in forced_tally.items():
-        has = (graphs & f) == f
-        fpop = f.bit_count()
-        ones = pop[has] - fpop
-        vec[has] += (c / total) * q**ones * (1.0 - q) ** (npairs - fpop - ones)
-    return vec
+    vec = np.zeros(1 << len(pairs))
+    vec[list(forced_tally)] = list(forced_tally.values())
+    vec /= total
+    return _or_coins(vec, q)
 
 
 def _column_likelihoods(
@@ -430,18 +418,10 @@ def _column_likelihoods(
 ) -> dict[tuple[int, int], np.ndarray]:
     """Per candidate point, the likelihood of every possible clique column."""
     s = len(clique_pts)
-    cspace = np.arange(1 << s, dtype=np.int64)
-    cpop = _popcounts(s)
     jmasks = related(off_pts, clique_pts, mode, m, k) @ (1 << np.arange(s, dtype=np.int64))
-    tables = {}
-    for p, jmask in zip(off_pts, jmasks.tolist()):
-        ok = (cspace & jmask) == jmask
-        free_ones = cpop[cspace & ~jmask]
-        free = s - jmask.bit_count()
-        tables[p] = np.where(
-            ok, q**free_ones * (1.0 - q) ** (free - free_ones), 0.0
-        )
-    return tables
+    tables = np.zeros((len(off_pts), 1 << s))
+    tables[np.arange(len(off_pts)), jmasks] = 1.0
+    return dict(zip(off_pts, _or_coins(tables, q)))
 
 
 def exact_coupled_law(
@@ -544,9 +524,6 @@ def _extraction_arrays(graphs, n, S, rank):
 def _accumulate_tuples(mtot, off_pts, tables, r, s, base, nn_pairs, m, mode, k, q):
     """DFS over ordered off-point tuples; adds each tuple's joint
     (columns, outside-completion) weight into mtot."""
-    nnbits = len(nn_pairs)
-    nn_graphs = np.arange(1 << nnbits, dtype=np.int64)
-    nn_pop = _popcounts(nnbits)
     csize = 1 << s
 
     def completion(points):
@@ -555,12 +532,9 @@ def _accumulate_tuples(mtot, off_pts, tables, r, s, base, nn_pairs, m, mode, k, 
         for bit, (l1, l2) in enumerate(nn_pairs):
             if rel[l1, l2]:
                 f |= 1 << bit
-        has = (nn_graphs & f) == f
-        fpop = f.bit_count()
-        ones = nn_pop[has] - fpop
-        g = np.zeros(1 << nnbits)
-        g[has] = q**ones * (1.0 - q) ** (nnbits - fpop - ones)
-        return g
+        g = np.zeros(1 << len(nn_pairs))
+        g[f] = 1.0
+        return _or_coins(g, q)
 
     def dfs(used: list, acc: np.ndarray):
         level = len(used)

@@ -73,10 +73,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _open_output(path):
+    """Open a file for writing; an unwritable path is a usage error."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write output: {exc}") from exc
+
+
 def _emit_csv(header, rows, path: str | None) -> list[Path]:
     text_rows = [[_fmt(v) for v in row] for row in rows]
     if path:
-        with open(path, "w", newline="") as fh:
+        with _open_output(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(text_rows)
@@ -111,13 +119,21 @@ def _merge_params(args: argparse.Namespace, schema: dict) -> dict:
         params["seed"] = int(os.environ[ENV_SEED])
     manifest_path = getattr(args, "manifest", None)
     if manifest_path:
-        loaded = json.loads(Path(manifest_path).read_text())
+        try:
+            loaded = json.loads(Path(manifest_path).read_text())
+        except OSError as exc:
+            raise ValueError(f"cannot read manifest: {exc}") from exc
+        replay = loaded.get("params", {}) if isinstance(loaded, dict) else None
+        if not isinstance(replay, dict):
+            raise ValueError("manifest is not a JSON object with a params object")
         if loaded.get("subcommand") != args.command:
             raise ValueError(
                 f"manifest is for {loaded.get('subcommand')!r}, not {args.command!r}"
             )
-        for key, val in loaded.get("params", {}).items():
+        for key, val in replay.items():
             if key in params:
+                if not isinstance(val, (str, int, float, type(None))):
+                    raise ValueError(f"manifest param {key!r} is {val!r}, not a scalar")
                 params[key] = val
     for key in schema:
         given = getattr(args, key, None)
@@ -189,7 +205,8 @@ def cmd_gen(args) -> int:
         inst = gen_coupled(int(p["n"]), int(p["m"]), int(p["k"]), seed)
         record = instance_to_json(inst)
     out = Path(p["out"])
-    out.write_text(dump_instance(record))
+    with _open_output(out) as fh:
+        fh.write(dump_instance(record))
     print(f"{out} sha256:{_sha256(out)}")
     _write_manifest("gen", p, [out], started)
     return 0
@@ -234,11 +251,12 @@ def cmd_recover(args) -> int:
         "truncated": result.truncated,
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    print(text, end="")
     if p["out"]:
         out = Path(p["out"])
-        out.write_text(text)
+        with _open_output(out) as fh:
+            fh.write(text)
         _write_manifest("recover", p, [out], started)
+    print(text, end="")
     return 0
 
 

@@ -381,25 +381,33 @@ def _sample_points(n: int, m: int, seed: int) -> np.ndarray:
     return np.stack(np.divmod(idx, m), axis=1)
 
 
+def _gen_null(
+    n: int, m: int, k: int, seed: int, mode: str, q: float
+) -> tuple[Graph, GridConfig]:
+    """Body shared by the null models: n distinct grid points, their design
+    relation forced, every other pair a Ber(q) coin."""
+    pts = _sample_points(n, m, seed)
+    forced = related(pts, pts, mode, m, k)
+    adj = forced | _sym_coin(n, q, stream(seed, "edges"))
+    np.fill_diagonal(adj, False)
+    cfg = GridConfig(
+        mode=mode,
+        m=m,
+        k=k,
+        points=tuple(map(tuple, pts.tolist())),
+        planted_line=None,
+        q=q,
+    )
+    return Graph(n=n, adj=adj), cfg
+
+
 def gen_null_grid(n: int, m: int, seed: int) -> tuple[Graph, GridConfig]:
     """Null model where every vertex lies in one row clique and one column
     clique of an m x m grid; all other edges are Ber(q) coins."""
     q = grid_rate(m)
     if n > m * m - m:
         raise ValueError(f"need n <= m^2 - m = {m * m - m}, got n={n}")
-    pts = _sample_points(n, m, seed)
-    forced = related(pts, pts, "grid", m, 2)
-    adj = forced | _sym_coin(n, q, stream(seed, "edges"))
-    np.fill_diagonal(adj, False)
-    cfg = GridConfig(
-        mode="grid",
-        m=m,
-        k=2,
-        points=tuple(map(tuple, pts.tolist())),
-        planted_line=None,
-        q=q,
-    )
-    return Graph(n=n, adj=adj), cfg
+    return _gen_null(n, m, 2, seed, "grid", q)
 
 
 def _check_lines_params(n: int, m: int, k: int) -> None:
@@ -415,20 +423,7 @@ def gen_null_lines(n: int, m: int, k: int, seed: int) -> tuple[Graph, GridConfig
     """Null model over the affine lines of slopes 0..k-1 in the prime grid:
     aligned vertices are connected, everything else is a Ber(q) coin."""
     _check_lines_params(n, m, k)
-    q = line_rate(m, k)
-    pts = _sample_points(n, m, seed)
-    forced = related(pts, pts, "lines", m, k)
-    adj = forced | _sym_coin(n, q, stream(seed, "edges"))
-    np.fill_diagonal(adj, False)
-    cfg = GridConfig(
-        mode="lines",
-        m=m,
-        k=k,
-        points=tuple(map(tuple, pts.tolist())),
-        planted_line=None,
-        q=q,
-    )
-    return Graph(n=n, adj=adj), cfg
+    return _gen_null(n, m, k, seed, "lines", line_rate(m, k))
 
 
 @dataclass(frozen=True)

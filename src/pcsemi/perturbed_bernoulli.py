@@ -11,7 +11,9 @@ sum over perturbations and a signed product form driven by superset
 statistics), a sampler, exact KL and chi-squared divergences by full state
 enumeration (s <= 20), and a closed-form KL upper bound expressed through the
 superset statistics ``S(J) = sum_{J' >= J} sigma(J')``.  Every 2^s-state
-table comes from one in-place subset-lattice transform, ``_lattice_transform``.
+table is built one coordinate at a time over ``_halves``: subset sums by
+``_lattice_transform``, and every "Ber(q) coins OR a forced subset" law
+by ``_or_coins``.
 """
 
 from __future__ import annotations
@@ -128,24 +130,40 @@ def _dense(spec: PBSpec) -> np.ndarray:
     return arr
 
 
+def _halves(out: np.ndarray):
+    """Per bit b of the last axis, the (bit b clear, bit b set) halves of every
+    block as strided views.  ``out`` must be C-contiguous, so each reshape is a
+    view and not a copy; a stack of tables is walked as one."""
+    for b in range(out.shape[-1].bit_length() - 1):
+        v = out.reshape(-1, 2, 1 << b)
+        yield v[:, 0, :], v[:, 1, :]
+
+
 def _lattice_transform(out: np.ndarray, op, superset: bool = False) -> np.ndarray:
     """Yates' fast zeta transform over the subset lattice, in place on ``out``.
 
     With ``op=np.add`` each entry x becomes the sum of the input over the
     subsets of x (over its supersets when ``superset`` is set); with
-    ``np.subtract`` it is the inverse, the Moebius transform.  Pass b views
-    the table as blocks of (bit b clear, bit b set) halves and folds one half
-    into the other, so each pass is one contiguous ufunc call.  ``out`` must
-    be C-contiguous, so that every reshape is a view and not a copy.
+    ``np.subtract`` it is the inverse, the Moebius transform.  Each pass folds
+    one half of ``_halves`` into the other with one contiguous ufunc call.
     """
-    for b in range(out.size.bit_length() - 1):
-        v = out.reshape(-1, 2, 1 << b)
-        lo, hi = v[:, 0, :], v[:, 1, :]
+    for lo, hi in _halves(out):
         if superset:
             op(lo, hi, out=lo)
         else:
             op(hi, lo, out=hi)
     return out
+
+
+def _or_coins(table: np.ndarray, q: float) -> np.ndarray:
+    """OR Ber(q) coins into forced-subset masses, in place over the last axis:
+    entry x becomes sum over J subset x of table[J] q^|x - J| (1-q)^(N - |x|).
+    One pass ``hi += q lo; lo *= 1 - q`` per coordinate adds only nonnegative
+    terms, so no entry can cancel."""
+    for lo, hi in _halves(table):
+        hi += q * lo
+        lo *= 1.0 - q
+    return table
 
 
 def _as_mask(spec: PBSpec, x: Sequence[int]) -> int:
@@ -177,18 +195,12 @@ def pb_pmf(spec: PBSpec, x: Sequence[int]) -> float:
 
 
 def pmf_vector(spec: PBSpec) -> np.ndarray:
-    """Exact pmf over all 2^s states at once.
-
-    The law is the coordinatewise OR of the Ber(q) vector with the random
-    subset, so its subset-cumulative transform factorizes:
-    P(X subset x) = P(Y subset x) * P(J subset x).  One zeta transform, a
-    pointwise product, and one Moebius transform recover the pmf in
-    O(s 2^s).
-    """
-    s, q = spec.s, spec.q
-    z_sigma = _lattice_transform(_dense(spec), np.add)
-    z_sigma *= ((1.0 - q) ** (s - np.arange(s + 1)))[_popcounts(s)]
-    return _lattice_transform(z_sigma, np.subtract)
+    """Exact pmf over all 2^s states in O(s 2^s): the law is the Ber(q)
+    vector OR the random subset, so it is the dense sigma table through
+    ``_or_coins``.  Each entry is a sum of nonnegative terms, accurate to a
+    few ulps relative even for the rarest states, which a difference form
+    (zeta, product, Moebius) cancels to negative or zero values."""
+    return _or_coins(_dense(spec), spec.q)
 
 
 def pb_pmf_fourier(spec: PBSpec, x: Sequence[int]) -> float:
@@ -214,9 +226,7 @@ def pmf_fourier_vector(spec: PBSpec) -> np.ndarray:
         raise ValueError("q must be positive for the signed product form")
     acc = _lattice_transform(_dense(spec), np.add, superset=True)
     factor_one = -1.0 + 1.0 / q  # coordinate in J, x_j = 1
-    for j in range(s):
-        v = acc.reshape(-1, 2, 1 << j)
-        absent, present = v[:, 0, :], v[:, 1, :]
+    for absent, present in _halves(acc):
         contracted = absent - present
         present *= factor_one
         present += absent
@@ -310,7 +320,7 @@ def _pmf_pair(a: PBSpec, b: PBSpec):
     sup_b = support_vector(b)
     if np.any(sup_a & ~sup_b):
         return None
-    pa = np.where(sup_a, np.maximum(pmf_vector(a), 0.0), 0.0)
+    pa = np.where(sup_a, pmf_vector(a), 0.0)
     pb = np.where(sup_b, np.maximum(pmf_vector(b), 1e-300), 0.0)
     return pa, pb, sup_b
 

@@ -1,7 +1,9 @@
 """Tests for column laws, local and chained KL bounds, exact joint laws,
 hypergeometric expectations, and the Jaccard experiments."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -28,7 +30,16 @@ from pcsemi.analysis import (
     reference_law,
     tv_from_kl,
 )
-from pcsemi.graph_model import bowtie, gen_coupled, grid_rate
+from pcsemi.analysis import _column_likelihoods
+from pcsemi.graph_model import (
+    AssignmentState,
+    bowtie,
+    gen_coupled,
+    grid_rate,
+    line_rate,
+    related,
+    structure_points,
+)
 from pcsemi.perturbed_bernoulli import kl_exact, superset_sum
 
 
@@ -437,6 +448,59 @@ class TestExactJointLaws:
         for cell in range(8):
             se = math.sqrt(max(law[cell] * (1 - law[cell]), 1e-12) / trials)
             assert abs(counts[cell] / trials - law[cell]) < 4 * se + 1e-9
+
+
+def coin_table(forced: int, bits: int, q: float) -> np.ndarray:
+    """Direct-sum law of Ber(q)^bits OR a fixed forced mask: each superset
+    x of the mask gets q^|x - mask| (1-q)^(bits - |x|), every other x zero."""
+    x = np.arange(1 << bits, dtype=np.int64)
+    pop = np.array([v.bit_count() for v in range(1 << bits)])
+    ones = pop - forced.bit_count()
+    return np.where((x & forced) == forced, q**ones * (1.0 - q) ** (bits - pop), 0.0)
+
+
+def assert_close(got, want, rel):
+    assert np.array_equal(got == 0.0, want == 0.0)
+    live = want != 0.0
+    assert np.all(np.abs(got[live] - want[live]) <= rel * want[live])
+
+
+class TestForcedCoinKernel:
+    """The exact laws built through ``_or_coins`` against the direct sum
+    over forced masks, each term a closed-form power product."""
+
+    @pytest.mark.parametrize(
+        "n,m,mode,k",
+        [(4, 3, "grid", 2), (5, 3, "grid", 2), (3, 5, "lines", 2), (4, 5, "lines", 2),
+         (3, 7, "lines", 3)],
+    )
+    def test_null_law_matches_direct_sum(self, n, m, mode, k):
+        q = grid_rate(m) if mode == "grid" else line_rate(m, k)
+        pts = [(a, b) for a in range(m) for b in range(m)]
+        rel = related(pts, pts, mode, m, k)
+        pairs = list(itertools.combinations(range(n), 2))
+        tally = Counter(
+            sum(1 << b for b, (i, j) in enumerate(pairs) if rel[assign[i], assign[j]])
+            for assign in itertools.permutations(range(m * m), n)
+        )
+        total = sum(tally.values())
+        want = sum(c / total * coin_table(f, len(pairs), q) for f, c in tally.items())
+        assert_close(exact_null_law(n, m, mode, k), want, 1e-14)
+
+    @pytest.mark.parametrize(
+        "mode,m,k,s", [("grid", 5, 2, 3), ("lines", 7, 2, 3), ("lines", 11, 3, 4)]
+    )
+    def test_column_likelihoods_match_direct_sum(self, mode, m, k, s):
+        q = grid_rate(m) if mode == "grid" else line_rate(m, k)
+        planted = (0, 0) if mode == "grid" else (1, 0)
+        clique = tuple(structure_points(planted, m)[:s])
+        off = AssignmentState(mode, m, k, q, planted, ()).unused_candidates()
+        tables = _column_likelihoods(off, clique, m, mode, k, q)
+        assert list(tables) == off
+        for p in off:
+            hits = related([p], clique, mode, m, k)[0]
+            jmask = sum(1 << j for j in range(s) if hits[j])
+            assert_close(tables[p], coin_table(jmask, s, q), 1e-14)
 
 
 class TestHypergeometricExpectation:

@@ -266,6 +266,48 @@ class TestExperiment:
         assert code == 2 and "window" in err
 
 
+def assert_usage_error(code, err, word):
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and word in err
+
+
+class TestBadInput:
+    """Input the program cannot use exits 2 with one error line."""
+
+    def test_missing_manifest(self, tmp_path, capsys):
+        code, _, err = run(capsys, "bounds", "--manifest", str(tmp_path / "none.json"))
+        assert_usage_error(code, err, "manifest")
+
+    def test_manifest_not_an_object(self, tmp_path, capsys):
+        manifest = tmp_path / "list.json"
+        manifest.write_text("[1, 2]")
+        code, _, err = run(capsys, "bounds", "--manifest", str(manifest))
+        assert_usage_error(code, err, "JSON object")
+
+    def test_manifest_param_of_wrong_type(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"subcommand": "bounds", "params": {"n": [1]}}))
+        code, _, err = run(capsys, "bounds", "--manifest", str(manifest))
+        assert_usage_error(code, err, "'n'")
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "inst.json"
+        code, _, err = run(
+            capsys, "gen", "--model", "classical", "--n", "10", "--s", "3", "--out", str(out)
+        )
+        assert_usage_error(code, err, "absent")
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "--model", "classical", "--n", "10", "--s", "3", "--out", str(inst))
+        code, text, err = run(capsys, "recover", "--in", str(inst), "--out", str(out))
+        assert_usage_error(code, err, "absent")
+        assert text == ""
+
+    def test_csv_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "ledger.csv"
+        code, _, err = run(capsys, "verify", "hg", "--csv", str(out))
+        assert_usage_error(code, err, "absent")
+
+
 class TestFloatFormatting:
     def test_seventeen_digit_round_trip(self, tmp_path, capsys):
         csv_path = tmp_path / "b.csv"

@@ -75,10 +75,10 @@ CASES = {
 }
 
 DIGESTS = {
-    "bounds-grid": "0202b7ed2afce1cb3db9abfa71e4a5129aa1904c176c2314820e64032d09e68f",
-    "bounds-lines": "ffe6e39644fc78a28cedf0fea7f8bb101af9bdb57d753aeb55db2aee305faebb",
-    "bounds-lines-60": "7f1c6bddfc9a38972290c6ba07cc44d340dd672ae43ead09be27df7468eb256a",
-    "bounds-lines-k3": "aa8ecdfc40aa37c16ae81873fd441f6436ed5a7deb9710a2e1cd981e120a2e47",
+    "bounds-grid": "84b1939516805da82da03b7e3e967d1e89b52c86eae4dabe2e59986e22fef572",
+    "bounds-lines": "fa8b2c866d134a9db5a97a7f44d5e47b9c15ebdd497f3c35511b06cbac98fbb1",
+    "bounds-lines-60": "e434673d3a37fba9880baf9bf7b50ae72bdcbd32f3312a8d5420262b62b6ac10",
+    "bounds-lines-k3": "70e6aaf32143aeea222c232795a388d7b335f48933432575b56253bc3f1ee3d4",
     "experiment-coupled-lower": "b133e71892663909924e97eef4017419d56b6a406d54581ad1f898452e28d879",
     "experiment-oracle-line": "5dbb93273df14df5b87b1a7e6d81d2e083a71ae26b73d2b64ca66a3436a4da28",
     "gen-classical": "719f69c1021607b545d28a358fee7793e6ba7f60e61e08fb32554bbb0aacdced",
@@ -91,13 +91,13 @@ DIGESTS = {
     "gen-null-lines": "18f2a1f57c46893e97edd2854560976d16c2b8a327dc5825059045197bc77f8a",
     "gen-semirandom": "c27c837c7b9e6b25c79119634d440f3cfae1afab363235b7c409d2e3d25f8289",
     "verify-column-laws": "362aab26717088fd0f3d911a225ef5e2810239e3a6ea5206c9e6fa4321cad36b",
-    "verify-local-bounds": "3ba780fdd25000572666d0ae074d810b6bf7c66afce477746513bf0dbfb4cb00",
-    "verify-pb-bound": "cba9494a332b248210d35ce334352af73a9a31826bf795bf2ed9ee2f7be79f8b",
+    "verify-local-bounds": "871de28f2f98c95717a9bf1230b6b973f2ccb913c57d47138e51df7fb8001015",
+    "verify-pb-bound": "8beaf5a1d1e699e357b9c098b922a8e055f826cd1a43432371a5a6012b4431c1",
 }
 
 LARGE_DIGESTS = {
-    18: "eeacd0733c5e56b3ff11e0f43100e8a50efd0c8113a36f78be22e868bb56357e",
-    MAX_DIM: "8726748cfbc351774c73283aac024b15c58dbf8acc238090f21141369e43103a",
+    18: "7881cfe98e3c81479f4887178ac59c8760817cb995677905a276f04dc134edf9",
+    MAX_DIM: "af9846a54edb3603ea327613c65297f8ceb31f515517518f22381ed1a7106a0d",
 }
 
 

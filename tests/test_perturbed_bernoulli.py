@@ -8,6 +8,7 @@ sums), never from the code under test.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,59 @@ class TestPmf:
             PBSpec(s=1, q=0.5, sigma={0: 1.0, 1: math.nan})
         with pytest.raises(ValueError):
             PBSpec(s=2, q=0.5, sigma={0: 1.0, 1: math.inf, 2: -math.inf})
+
+
+def fraction_pmf(spec: PBSpec, mask: int) -> Fraction:
+    """Exact rational pmf of one state by direct sum over the forced subsets
+    it contains; the float q and masses are taken as exact rationals."""
+    q = Fraction(spec.q)
+    total = Fraction(0)
+    for jmask, mass in spec.sigma.items():
+        if mask & jmask == jmask:
+            ones = (mask & ~jmask).bit_count()
+            total += Fraction(mass) * q**ones * (1 - q) ** (spec.s - mask.bit_count())
+    return total
+
+
+class TestPositiveTermPmf:
+    """``pmf_vector`` adds only nonnegative terms, so it holds every state,
+    however rare, to rounding relative to its own size."""
+
+    @pytest.mark.parametrize("q", [0.01, 0.1, 0.5, 0.9])
+    def test_every_state_matches_exact_rationals(self, q):
+        rng = np.random.default_rng(int(q * 100))
+        for s in range(1, 9):
+            for _ in range(3):
+                spec = random_spec(rng, s, q)
+                vec = pmf_vector(spec)
+                for mask in range(1 << s):
+                    exact = fraction_pmf(spec, mask)
+                    if exact == 0:
+                        assert vec[mask] == 0.0
+                    else:
+                        assert abs(Fraction(float(vec[mask])) - exact) <= 1e-13 * exact
+
+    def test_disjoint_point_masses_at_max_dim(self):
+        """All ones forced against no force: every state but the last has
+        probability zero under a, so KL = -ln P_b(all ones) = 20 ln 5 and
+        chi2 = (1 - q^20) / q^20."""
+        q = 0.2
+        a = PBSpec(s=MAX_DIM, q=q, sigma={(1 << MAX_DIM) - 1: 1.0})
+        b = PBSpec(s=MAX_DIM, q=q, sigma={0: 1.0})
+        assert kl_exact(a, b) == pytest.approx(MAX_DIM * math.log(5.0), rel=1e-12)
+        assert chi2_exact(a, b) == pytest.approx((1 - q**MAX_DIM) / q**MAX_DIM, rel=1e-12)
+
+    @pytest.mark.parametrize("s,q", [(16, 0.1), (20, 0.1), (20, 0.2)])
+    def test_rarest_state_of_plain_coins(self, s, q):
+        vec = pmf_vector(PBSpec(s=s, q=q, sigma={0: 1.0}))
+        assert vec.min() >= 0.0
+        assert vec.min() == pytest.approx(q**s, rel=1e-12)
+
+    def test_never_negative_up_to_max_dim(self):
+        rng = np.random.default_rng(20)
+        for s in range(1, MAX_DIM + 1):
+            spec = random_spec(rng, s, float(rng.uniform(0.01, 0.2)))
+            assert pmf_vector(spec).min() >= 0.0
 
 
 class TestFourierForm:
@@ -286,9 +340,9 @@ class TestLatticeTransform:
 
 
 class TestPowerLookup:
-    """``pmf_vector`` and ``kl_bound`` look the per-state powers base^k up in
-    a table of the s + 1 distinct exponents instead of raising the base to a
-    2^s-entry exponent array; the two must agree bit for bit."""
+    """``kl_bound`` looks the per-state powers base^k up in a table of the
+    s + 1 distinct exponents instead of raising the base to a 2^s-entry
+    exponent array; the two must agree bit for bit."""
 
     @pytest.mark.parametrize("s", [2, 8, 14, 16, 18, 20])
     def test_table_equals_elementwise_power(self, s):
@@ -309,9 +363,6 @@ class TestPowerLookup:
                 q = float(rng.uniform(0.05, 0.95))
                 a = random_spec(rng, s, q)
                 b = random_spec(rng, s, q, include_empty=True)
-                z = _lattice_transform(np.array([a.mass(m) for m in range(1 << s)]), np.add)
-                z *= (1.0 - q) ** (s - pop)
-                assert np.array_equal(pmf_vector(a), _lattice_transform(z, np.subtract))
                 ratio = (1.0 - q) / q
                 diff = superset_sum(a).values - superset_sum(b).values
                 expected = float(np.dot((ratio * max(1.0, ratio)) ** pop, diff**2) / b.mass(0))
