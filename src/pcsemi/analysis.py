@@ -67,7 +67,6 @@ class ColumnLaw:
     counts: tuple[int, ...]
     denominator: int
     sigma_counts: dict[int, int]
-    pi_full: tuple[float, ...] | None = None
 
 
 def column_law_grid(state: AssignmentState) -> ColumnLaw:
@@ -93,14 +92,12 @@ def column_law_grid(state: AssignmentState) -> ColumnLaw:
     spec = PBSpec(
         s=s, q=state.q, sigma={mask: c / denom for mask, c in sigma_counts.items()}
     )
-    pi_full = tuple((m - 1 - occupancy.get(col, 0)) / denom for col in range(m))
     return ColumnLaw(
         spec=spec,
         pi=tuple(v / denom for v in numerators),
         counts=counts,
         denominator=denom,
         sigma_counts=sigma_counts,
-        pi_full=pi_full,
     )
 
 
@@ -376,10 +373,7 @@ def _mode_rate(m: int, mode: str, k: int) -> float:
     if mode == "lines":
         if not is_prime(m):
             raise ValueError(f"line mode needs prime m, got {m}")
-        q = line_rate(m, k)
-        if q <= 0.0:
-            raise ValueError(f"line rate not positive for m={m}, k={k}")
-        return q
+        return line_rate(m, k)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -1,11 +1,13 @@
 """Command line front end: instance generation, recovery, bound
 verification sweeps, chained-bound reports, and Jaccard experiments.
 
-Every subcommand is deterministic given its parameters and seed.  A run
-manifest (parameters, seed, version, timestamps, output digests) is written
-next to each file output; ``--manifest`` replays one, with explicit flags
-winning on conflict.  Exit codes: 0 success / all checks pass, 1 at least
-one violated inequality, 2 usage or parameter error.
+Every subcommand is deterministic given its parameters and seed.  Each
+subcommand declares its parameters once, in one table of name -> (kind,
+default); that table drives the parser, manifest replay and type checks.
+A run manifest (parameters, seed, version, timestamps, output digests) is
+written next to each file output; ``--manifest`` replays one, with explicit
+flags winning on conflict.  Exit codes: 0 success / all checks pass, 1 at
+least one violated inequality, 2 usage or parameter error.
 """
 
 from __future__ import annotations
@@ -112,15 +114,37 @@ def _write_manifest(command: str, params: dict, outputs: list[Path], started: st
         )
 
 
-def _merge_params(args: argparse.Namespace, schema: dict) -> dict:
-    """builtin defaults < PCSEMI_SEED < manifest < explicit flags."""
-    params = {key: default for key, default in schema.items()}
-    if "seed" in schema and os.environ.get(ENV_SEED):
-        params["seed"] = int(os.environ[ENV_SEED])
-    manifest_path = getattr(args, "manifest", None)
-    if manifest_path:
+def _typed(key: str, value, kind) -> None:
+    """Check ``value`` against the declared kind of ``key``: ``int`` takes an
+    integer (never a bool), ``str`` a string, and both take ``None`` for
+    unset; any other kind is a table of choices, and the value must be one
+    of its keys."""
+    if kind is int:
+        ok, want = value is None or type(value) is int, "an integer"
+    elif kind is str:
+        ok, want = value is None or isinstance(value, str), "a string"
+    else:
+        ok, want = isinstance(value, str) and value in kind, f"one of {sorted(kind)}"
+    if not ok:
+        raise ValueError(f"param {key!r} is {value!r}, not {want}")
+
+
+def _merge_params(args: argparse.Namespace, table: dict) -> dict:
+    """builtin defaults < PCSEMI_SEED < manifest < explicit flags.
+
+    A ``null`` in a manifest leaves the default in place, and every value is
+    checked against the kind that ``table`` declares for it.
+    """
+    params = {key: default for key, (_, default) in table.items()}
+    env_seed = os.environ.get(ENV_SEED)
+    if "seed" in table and env_seed:
         try:
-            loaded = json.loads(Path(manifest_path).read_text())
+            params["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"{ENV_SEED} is {env_seed!r}, not an integer") from None
+    if args.manifest:
+        try:
+            loaded = json.loads(Path(args.manifest).read_text())
         except OSError as exc:
             raise ValueError(f"cannot read manifest: {exc}") from exc
         replay = loaded.get("params", {}) if isinstance(loaded, dict) else None
@@ -130,104 +154,90 @@ def _merge_params(args: argparse.Namespace, schema: dict) -> dict:
             raise ValueError(
                 f"manifest is for {loaded.get('subcommand')!r}, not {args.command!r}"
             )
-        for key, val in replay.items():
-            if key in params:
-                if not isinstance(val, (str, int, float, type(None))):
-                    raise ValueError(f"manifest param {key!r} is {val!r}, not a scalar")
-                params[key] = val
-    for key in schema:
-        given = getattr(args, key, None)
+        params.update(
+            (key, val) for key, val in replay.items() if key in params and val is not None
+        )
+    for key, (kind, _) in table.items():
+        given = getattr(args, key)
         if given is not None:
             params[key] = given
+        _typed(key, params[key], kind)
     return params
+
+
+def _fill_unset(params: dict, defaults: dict) -> None:
+    """Give each parameter still unset after the merge its preset value."""
+    params.update((key, val) for key, val in defaults.items() if params[key] is None)
 
 
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
-_GEN_SCHEMA = {
-    "model": None,
-    "n": None,
-    "s": None,
-    "m": None,
-    "k": 2,
-    "adversary": "empty",
-    "seed": 0,
-    "out": "instance.json",
+# model -> (required parameters, builder); a null model builds (graph, grid)
+_GEN_MODELS = {
+    "classical": (("n", "s"), lambda p: gen_classical(p["n"], p["s"], p["seed"])),
+    "semirandom": (
+        ("n", "s"),
+        lambda p: gen_semirandom(
+            p["n"], p["s"], AdversarySpec.parse(p["adversary"]), p["seed"]
+        ),
+    ),
+    "null-grid": (("n", "m"), lambda p: gen_null_grid(p["n"], p["m"], p["seed"])),
+    "null-lines": (
+        ("n", "m", "k"),
+        lambda p: gen_null_lines(p["n"], p["m"], p["k"], p["seed"]),
+    ),
+    "coupled": (("n", "m", "k"), lambda p: gen_coupled(p["n"], p["m"], p["k"], p["seed"])),
 }
 
-_GEN_REQUIRED = {
-    "classical": ("n", "s"),
-    "semirandom": ("n", "s"),
-    "null-grid": ("n", "m"),
-    "null-lines": ("n", "m", "k"),
-    "coupled": ("n", "m", "k"),
+_GEN_PARAMS = {
+    "model": (_GEN_MODELS, None),
+    "n": (int, None),
+    "s": (int, None),
+    "m": (int, None),
+    "k": (int, 2),
+    "adversary": (str, "empty"),
+    "seed": (int, 0),
+    "out": (str, "instance.json"),
 }
 
 
-def cmd_gen(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    p = _merge_params(args, _GEN_SCHEMA)
+def cmd_gen(p: dict) -> tuple[int, list[Path]]:
     model = p["model"]
-    if model is None:
-        raise ValueError("--model is required")
-    if model not in _GEN_REQUIRED:
-        raise ValueError(f"unknown model {model!r}")
-    missing = [key for key in _GEN_REQUIRED[model] if p[key] is None]
+    required, build = _GEN_MODELS[model]
+    missing = [key for key in required if p[key] is None]
     if missing:
         flags = ", ".join(f"--{key}" for key in missing)
         raise ValueError(f"model {model} requires {flags}")
-    seed = int(p["seed"])
-    if model == "classical":
-        inst = gen_classical(int(p["n"]), int(p["s"]), seed)
-        record = instance_to_json(inst)
-    elif model == "semirandom":
-        inst = gen_semirandom(
-            int(p["n"]), int(p["s"]), AdversarySpec.parse(p["adversary"]), seed
-        )
-        record = instance_to_json(inst)
-    elif model == "null-grid":
-        graph, cfg = gen_null_grid(int(p["n"]), int(p["m"]), seed)
-        record = instance_record(
-            graph, "null-grid", {"n": int(p["n"]), "m": int(p["m"])}, seed, grid=cfg
-        )
-    elif model == "null-lines":
-        graph, cfg = gen_null_lines(int(p["n"]), int(p["m"]), int(p["k"]), seed)
-        record = instance_record(
-            graph,
-            "null-lines",
-            {"n": int(p["n"]), "m": int(p["m"]), "k": int(p["k"])},
-            seed,
-            grid=cfg,
-        )
+    built = build(p)
+    if isinstance(built, tuple):
+        graph, grid = built
+        params = {key: p[key] for key in required}
+        record = instance_record(graph, model, params, p["seed"], grid=grid)
     else:
-        inst = gen_coupled(int(p["n"]), int(p["m"]), int(p["k"]), seed)
-        record = instance_to_json(inst)
+        record = instance_to_json(built)
     out = Path(p["out"])
     with _open_output(out) as fh:
         fh.write(dump_instance(record))
     print(f"{out} sha256:{_sha256(out)}")
-    _write_manifest("gen", p, [out], started)
-    return 0
+    return 0, [out]
 
 
 # ---------------------------------------------------------------------------
 # recover
 # ---------------------------------------------------------------------------
 
-_RECOVER_SCHEMA = {
-    "infile": None,
-    "v": None,
-    "s": None,
-    "budget": DEFAULT_BUDGET,
-    "out": None,
+_RECOVER_PARAMS = {
+    "infile": (str, None),
+    "v": (int, None),
+    "s": (int, None),
+    "budget": (int, DEFAULT_BUDGET),
+    "out": (str, None),
 }
 
 
-def cmd_recover(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    p = _merge_params(args, _RECOVER_SCHEMA)
+def cmd_recover(p: dict) -> tuple[int, list[Path]]:
     if p["infile"] is None:
         raise ValueError("--in is required")
     try:
@@ -241,7 +251,7 @@ def cmd_recover(args) -> int:
     s = p["s"] if p["s"] is not None else (len(loaded.clique) or None)
     if s is None:
         raise ValueError("instance has no clique size; pass --s")
-    result = recover(loaded.graph, int(v), int(s), budget=int(p["budget"]))
+    result = recover(loaded.graph, v, s, budget=p["budget"])
     payload = {
         "recovered": sorted(result.vertices),
         "jaccard": (
@@ -251,13 +261,12 @@ def cmd_recover(args) -> int:
         "truncated": result.truncated,
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if p["out"]:
-        out = Path(p["out"])
+    outputs = [Path(p["out"])] if p["out"] else []
+    for out in outputs:
         with _open_output(out) as fh:
             fh.write(text)
-        _write_manifest("recover", p, [out], started)
     print(text, end="")
-    return 0
+    return 0, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +275,12 @@ def cmd_recover(args) -> int:
 
 
 def _suite_pb_bound(p):
-    rng = stream(int(p["seed"]), "pb-bound")
+    rng = stream(p["seed"], "pb-bound")
     header = ["case", "s", "q", "kl_exact", "chi2_exact", "kl_bound", "slack", "ok"]
     rows, bad = [], 0
-    trials = int(p["trials"])
     case = 0
     for s in range(2, 9):
-        for _ in range(trials):
+        for _ in range(p["trials"]):
             q = float(rng.uniform(0.1, 0.9))
             a = random_spec(rng, s, q)
             if rng.random() < 0.5:
@@ -301,12 +309,11 @@ _LAW_SWEEP = [
 
 
 def _suite_column_laws(p):
-    rng = stream(int(p["seed"]), "column-laws")
+    rng = stream(p["seed"], "column-laws")
     header = ["mode", "m", "k", "s", "trial", "prefix", "match"]
     rows, bad = [], 0
-    trials = int(p["trials"])
     for mode, m, k, s in _LAW_SWEEP:
-        for t in range(trials):
+        for t in range(p["trials"]):
             d = int(rng.integers(0, 2 * m + 1))
             state = random_prefix_state(rng, mode, m, k, s, d)
             if mode == "grid":
@@ -348,13 +355,12 @@ _LINE_BOUND_CONFIGS = [(29, 2, 2), (29, 2, 3), (37, 3, 2)]
 
 
 def _suite_local_bounds(p):
-    rng = stream(int(p["seed"]), "local-bounds")
+    rng = stream(p["seed"], "local-bounds")
     header = [
         "mode", "n", "m", "k", "s", "trial", "prefix",
         "exact", "bound", "slack", "hypotheses_ok", "ok",
     ]
     rows, bad = [], 0
-    trials = int(p["trials"])
     grid_configs = [
         ("grid", m, k, s) for mode, m, k, s in _LAW_SWEEP
         if mode == "grid" and s <= m - 6
@@ -365,7 +371,7 @@ def _suite_local_bounds(p):
     ] + [("lines", m, k, s) for m, k, s in _LINE_BOUND_CONFIGS]
     for mode, m, k, s in grid_configs + line_configs:
         n = m * (m - 1) // 2
-        for t in range(trials):
+        for t in range(p["trials"]):
             d = int(rng.integers(0, 2 * m + 1))
             state = random_prefix_state(rng, mode, m, k, s, d)
             if mode == "grid":
@@ -384,8 +390,7 @@ def _suite_local_bounds(p):
 
 
 def _suite_chain(p):
-    n = int(p["n"] or 5)
-    m = int(p["m"] or 3)
+    n, m = p["n"], p["m"]
     header = ["n", "m", "mode", "joint_kl", "chain_rhs", "slack", "ok"]
     lhs = exact_joint_kl(n, m, "grid")
     rhs = exact_chain_rhs(n, m, "grid")
@@ -410,9 +415,8 @@ def _suite_hg(p):
 
 
 def _suite_union_bound(p):
-    n = int(p["n"] or 1000)
-    s = int(p["s"] or 60)
-    l0 = int(p["l0"]) if p["l0"] is not None else math.ceil(3 * math.log2(n))
+    n, s = p["n"], p["s"]
+    l0 = p["l0"] if p["l0"] is not None else math.ceil(3 * math.log2(n))
     header = ["n", "s", "l0", "value", "cap", "ok"]
     value = union_bound_probability(n, s, l0)
     cap = 2.0 * s / n**2
@@ -420,38 +424,35 @@ def _suite_union_bound(p):
     return header, [[n, s, l0, value, cap, int(ok)]], int(not ok)
 
 
+# suite -> (sweep, defaults of the parameters the caller leaves unset)
 _SUITES = {
-    "pb-bound": _suite_pb_bound,
-    "column-laws": _suite_column_laws,
-    "local-bounds": _suite_local_bounds,
-    "chain": _suite_chain,
-    "hg": _suite_hg,
-    "union-bound": _suite_union_bound,
+    "pb-bound": (_suite_pb_bound, {"trials": 500}),
+    "column-laws": (_suite_column_laws, {"trials": 50}),
+    "local-bounds": (_suite_local_bounds, {"trials": 50}),
+    "chain": (_suite_chain, {"trials": 50, "n": 5, "m": 3}),
+    "hg": (_suite_hg, {"trials": 50}),
+    "union-bound": (_suite_union_bound, {"trials": 50, "n": 1000, "s": 60}),
 }
 
-_VERIFY_SCHEMA = {
-    "suite": None,
-    "trials": None,
-    "seed": 0,
-    "n": None,
-    "s": None,
-    "m": None,
-    "l0": None,
-    "csv": None,
+_VERIFY_PARAMS = {
+    "suite": (_SUITES, None),
+    "trials": (int, None),
+    "seed": (int, 0),
+    "n": (int, None),
+    "s": (int, None),
+    "m": (int, None),
+    "l0": (int, None),
+    "csv": (str, None),
 }
 
 
-def cmd_verify(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    p = _merge_params(args, _VERIFY_SCHEMA)
+def cmd_verify(p: dict) -> tuple[int, list[Path]]:
     suite = p["suite"]
-    if suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
-    if p["trials"] is None:
-        p["trials"] = 500 if suite == "pb-bound" else 50
-    if int(p["trials"]) < 1:
+    sweep, defaults = _SUITES[suite]
+    _fill_unset(p, defaults)
+    if p["trials"] < 1:
         raise ValueError(f"need --trials >= 1, got {p['trials']}")
-    header, rows, bad = _SUITES[suite](p)
+    header, rows, bad = sweep(p)
     outputs = _emit_csv(header, rows, p["csv"])
     print(f"suite={suite} cases={len(rows)} violations={bad}", file=sys.stderr)
     shown = 0
@@ -463,38 +464,28 @@ def cmd_verify(args) -> int:
             if shown >= 20:
                 print("... further violations omitted", file=sys.stderr)
                 break
-    if outputs:
-        _write_manifest("verify", p, outputs, started)
-    return 0 if bad == 0 else 1
+    return (0 if bad == 0 else 1), outputs
 
 
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
 
-_BOUNDS_SCHEMA = {
-    "mode": "grid",
-    "n": 20,
-    "m": 13,
-    "k": 2,
-    "s": 2,
-    "trials": 100,
-    "seed": 0,
-    "csv": None,
+_BOUNDS_PARAMS = {
+    "mode": (("grid", "lines"), "grid"),
+    "n": (int, 20),
+    "m": (int, 13),
+    "k": (int, 2),
+    "s": (int, 2),
+    "trials": (int, 100),
+    "seed": (int, 0),
+    "csv": (str, None),
 }
 
 
-def cmd_bounds(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    p = _merge_params(args, _BOUNDS_SCHEMA)
+def cmd_bounds(p: dict) -> tuple[int, list[Path]]:
     ledger = chained_kl_bound(
-        int(p["n"]),
-        int(p["m"]),
-        int(p["k"]),
-        int(p["s"]),
-        int(p["trials"]),
-        int(p["seed"]),
-        mode=p["mode"],
+        p["n"], p["m"], p["k"], p["s"], p["trials"], p["seed"], mode=p["mode"]
     )
     header = ["mode", "n", "m", "k", "s", "trials", "seed", "kind", "name", "exact", "bound"]
     prefix = [ledger.mode, ledger.n, ledger.m, ledger.k, ledger.s, ledger.trials, ledger.seed]
@@ -511,78 +502,75 @@ def cmd_bounds(args) -> int:
     rows.append(prefix + ["pinsker", "tv", None, ledger.tv_pinsker])
     for name, flag in ledger.hypotheses.items():
         rows.append(prefix + ["hypothesis", name, None, int(flag)])
-    outputs = _emit_csv(header, rows, p["csv"])
-    if outputs:
-        _write_manifest("bounds", p, outputs, started)
-    return 0
+    return 0, _emit_csv(header, rows, p["csv"])
 
 
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
 
+# tag -> (model, estimator, defaults of the parameters the caller leaves unset)
 _EXPERIMENTS = {
-    "recovery-upper": {
-        "model": "semirandom",
-        "estimator": "recover",
-        "n": 60,
-        "s": 15,
-        "adversary": "extra_cliques:2",
-    },
-    "coupled-lower": {"model": "coupled", "estimator": "recover", "n": 50, "m": 11, "k": 3},
-    "oracle-line": {"model": "coupled", "estimator": "oracle-line", "n": 50, "m": 11, "k": 3},
+    "recovery-upper": (
+        "semirandom", "recover", {"n": 60, "s": 15, "adversary": "extra_cliques:2"}
+    ),
+    "coupled-lower": (
+        "coupled", "recover", {"n": 50, "m": 11, "k": 3, "adversary": "empty"}
+    ),
+    "oracle-line": (
+        "coupled", "oracle-line", {"n": 50, "m": 11, "k": 3, "adversary": "empty"}
+    ),
 }
 
-_EXPERIMENT_SCHEMA = {
-    "tag": None,
-    "n": None,
-    "s": None,
-    "m": None,
-    "k": None,
-    "adversary": None,
-    "trials": 100,
-    "seed": 0,
-    "threads": 1,
-    "csv": None,
+_EXPERIMENT_PARAMS = {
+    "tag": (_EXPERIMENTS, None),
+    "n": (int, None),
+    "s": (int, None),
+    "m": (int, None),
+    "k": (int, None),
+    "adversary": (str, None),
+    "trials": (int, 100),
+    "seed": (int, 0),
+    "threads": (int, 1),
+    "csv": (str, None),
 }
 
 
-def cmd_experiment(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    p = _merge_params(args, _EXPERIMENT_SCHEMA)
-    tag = p["tag"]
-    if tag not in _EXPERIMENTS:
-        raise ValueError(f"unknown experiment {tag!r}; choose from {sorted(_EXPERIMENTS)}")
-    setup = dict(_EXPERIMENTS[tag])
-    for key in ("n", "s", "m", "k", "adversary"):
-        if p[key] is not None:
-            setup[key] = p[key]
+def cmd_experiment(p: dict) -> tuple[int, list[Path]]:
+    model, estimator, defaults = _EXPERIMENTS[p["tag"]]
+    _fill_unset(p, defaults)
     result = jaccard_experiment(
-        setup.pop("model"),
-        setup.pop("estimator"),
-        int(p["trials"]),
-        int(p["seed"]),
-        n=int(setup["n"]),
-        s=None if setup.get("s") is None else int(setup["s"]),
-        m=None if setup.get("m") is None else int(setup["m"]),
-        k=None if setup.get("k") is None else int(setup["k"]),
-        adversary=setup.get("adversary") or "empty",
-        threads=int(p["threads"]),
+        model,
+        estimator,
+        p["trials"],
+        p["seed"],
+        n=p["n"],
+        s=p["s"],
+        m=p["m"],
+        k=p["k"],
+        adversary=p["adversary"],
+        threads=p["threads"],
     )
     header = ["trial", "jaccard", "runtime_s"]
     rows = [[t, v, r] for t, (v, r) in enumerate(zip(result.values, result.runtimes))]
     rows.append(["mean", result.mean, None])
     rows.append(["ci95_halfwidth", result.ci95, None])
-    outputs = _emit_csv(header, rows, p["csv"])
-    if outputs:
-        _write_manifest("experiment", p, outputs, started)
-    return 0
+    return 0, _emit_csv(header, rows, p["csv"])
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
+# subcommand -> (body, parameter table, help); a body takes the merged
+# parameters and returns (exit code, files written)
+_COMMANDS = {
+    "gen": (cmd_gen, _GEN_PARAMS, "generate an instance file"),
+    "recover": (cmd_recover, _RECOVER_PARAMS, "run the recovery rule on an instance file"),
+    "verify": (cmd_verify, _VERIFY_PARAMS, "run a property sweep; exit 1 on any violation"),
+    "bounds": (cmd_bounds, _BOUNDS_PARAMS, "chained KL bound ledger for one configuration"),
+    "experiment": (cmd_experiment, _EXPERIMENT_PARAMS, "seeded Jaccard experiment"),
+}
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -591,77 +579,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("--model", choices=["classical", "semirandom", "null-grid", "null-lines", "coupled"])
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--s", type=int)
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--adversary", type=str)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--out", type=str)
-    gen.add_argument("--manifest", type=str)
-    gen.set_defaults(func=cmd_gen)
-
-    rec = sub.add_parser("recover", help="run the recovery rule on an instance file")
-    rec.add_argument("--in", dest="infile", type=str)
-    rec.add_argument("--v", type=int)
-    rec.add_argument("--s", type=int)
-    rec.add_argument("--budget", type=int)
-    rec.add_argument("--out", type=str)
-    rec.add_argument("--manifest", type=str)
-    rec.set_defaults(func=cmd_recover)
-
-    ver = sub.add_parser("verify", help="run a property sweep; exit 1 on any violation")
-    ver.add_argument("suite", nargs="?", default=None)
-    ver.add_argument("--trials", type=int)
-    ver.add_argument("--seed", type=int)
-    ver.add_argument("--n", type=int)
-    ver.add_argument("--s", type=int)
-    ver.add_argument("--m", type=int)
-    ver.add_argument("--l0", type=int)
-    ver.add_argument("--csv", type=str)
-    ver.add_argument("--manifest", type=str)
-    ver.set_defaults(func=cmd_verify)
-
-    bnd = sub.add_parser("bounds", help="chained KL bound ledger for one configuration")
-    bnd.add_argument("--mode", choices=["grid", "lines"])
-    bnd.add_argument("--n", type=int)
-    bnd.add_argument("--m", type=int)
-    bnd.add_argument("--k", type=int)
-    bnd.add_argument("--s", type=int)
-    bnd.add_argument("--trials", type=int)
-    bnd.add_argument("--seed", type=int)
-    bnd.add_argument("--csv", type=str)
-    bnd.add_argument("--manifest", type=str)
-    bnd.set_defaults(func=cmd_bounds)
-
-    exp = sub.add_parser("experiment", help="seeded Jaccard experiment")
-    exp.add_argument("tag", nargs="?", default=None)
-    exp.add_argument("--n", type=int)
-    exp.add_argument("--s", type=int)
-    exp.add_argument("--m", type=int)
-    exp.add_argument("--k", type=int)
-    exp.add_argument("--adversary", type=str)
-    exp.add_argument("--trials", type=int)
-    exp.add_argument("--seed", type=int)
-    exp.add_argument("--threads", type=int)
-    exp.add_argument("--csv", type=str)
-    exp.add_argument("--manifest", type=str)
-    exp.set_defaults(func=cmd_experiment)
-
+    for command, (_, table, summary) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        for key, (kind, _) in table.items():
+            parse = int if kind is int else str
+            choices = None if kind in (int, str) else "{" + ",".join(kind) + "}"
+            if key in ("suite", "tag"):
+                cmd.add_argument(key, nargs="?", type=parse, metavar=choices)
+            else:
+                flag = "--in" if key == "infile" else f"--{key}"
+                cmd.add_argument(flag, dest=key, type=parse, metavar=choices)
+        cmd.add_argument("--manifest", type=str)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    started = datetime.now(timezone.utc).isoformat()
+    body, table, _ = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        params = _merge_params(args, table)
+        code, outputs = body(params)
+        _write_manifest(args.command, params, outputs, started)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -75,6 +75,10 @@ def grid_rate(m: int) -> float:
 
 def line_rate(m: int, k: int) -> float:
     """Coin rate for the line null model: 1/2 - (k-1)/(2(m-k+1))."""
+    if k < 1 or k - 1 >= m - k + 1:
+        raise ValueError(
+            f"line mode needs 1 <= k and k - 1 < m - k + 1 (q > 0), got m={m}, k={k}"
+        )
     return 0.5 - (k - 1) / (2.0 * (m - k + 1))
 
 
@@ -570,6 +574,8 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
     rejected and redrawn so the instance always exposes a clique.
     """
     _check_lines_params(n, m, k)
+    if n < 1:
+        raise ValueError(f"need n >= 1 to expose a clique, got n={n}")
     q = line_rate(m, k)
     line_rng = stream(seed, "line")
     rstar = int(line_rng.integers(k))
@@ -700,33 +706,49 @@ def instance_to_json(inst: PlantedInstance) -> dict:
 _GRID_MODE_BY_MODEL = {"null-grid": "grid", "null-lines": "lines", "coupled": "lines"}
 
 
+def _integer(value, what: str) -> int:
+    """One integer field of an instance file; a bool, float or string is
+    refused instead of being truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} is {value!r}, not an integer")
+    return int(value)
+
+
 def instance_from_json(record: dict) -> LoadedInstance:
-    n = int(record["n"])
-    graph = Graph.from_edges(n, [(int(i), int(j)) for i, j in record["edges"]])
+    n = _integer(record["n"], "n")
+    graph = Graph.from_edges(
+        n, [(_integer(i, "edge end"), _integer(j, "edge end")) for i, j in record["edges"]]
+    )
+    clique = frozenset(_integer(v, "clique vertex") for v in record["clique"])
+    outside = sorted(v for v in clique if not 0 <= v < n)
+    if outside:
+        raise ValueError(f"clique vertices {outside} outside vertices 0..{n - 1}")
     grid = None
     graw = record.get("grid")
     if graw is not None:
         mode = _GRID_MODE_BY_MODEL.get(record["model"], "lines")
-        m, k = int(graw["m"]), int(graw["k"])
+        m, k = _integer(graw["m"], "grid m"), _integer(graw["k"], "grid k")
         planted = None
         if graw.get("r_star") is not None:
-            planted = (int(graw["r_star"]), int(graw["h_star"]))
+            planted = (_integer(graw["r_star"], "r_star"), _integer(graw["h_star"], "h_star"))
         q = grid_rate(m) if mode == "grid" else line_rate(m, k)
         grid = GridConfig(
             mode=mode,
             m=m,
             k=k,
-            points=tuple((int(a), int(b)) for a, b in graw["points"]),
+            points=tuple(
+                (_integer(a, "grid point"), _integer(b, "grid point")) for a, b in graw["points"]
+            ),
             planted_line=planted,
             q=q,
         )
     return LoadedInstance(
         graph=graph,
-        clique=frozenset(int(v) for v in record["clique"]),
-        revealed=None if record.get("v") is None else int(record["v"]),
+        clique=clique,
+        revealed=None if record.get("v") is None else _integer(record["v"], "v"),
         model=record["model"],
         params=record.get("params", {}),
-        seed=int(record["seed"]),
+        seed=_integer(record["seed"], "seed"),
         grid=grid,
     )
 

@@ -1,12 +1,25 @@
 """End-to-end tests of the command line interface: exit codes, file
 outputs, manifests, and the verification suites' wiring."""
 
+import argparse
+import contextlib
+import copy
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcsemi.cli import main
+from pcsemi.cli import _build_parser, main
+from pcsemi.graph_model import (
+    gen_classical,
+    gen_coupled,
+    gen_null_grid,
+    instance_record,
+    instance_to_json,
+)
 
 
 def run(capsys, *argv):
@@ -35,6 +48,13 @@ class TestGen:
             "--out", str(tmp_path / "x.json"),
         )
         assert code == 2 and "--m" in err
+
+    def test_coupled_without_vertices_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "gen", "--model", "coupled", "--n", "0", "--m", "5", "--k", "2",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2 and "n >= 1" in err
 
     def test_nonprime_m_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -306,6 +326,191 @@ class TestBadInput:
         out = tmp_path / "absent" / "ledger.csv"
         code, _, err = run(capsys, "verify", "hg", "--csv", str(out))
         assert_usage_error(code, err, "absent")
+
+    @pytest.mark.parametrize(
+        "key, value", [("n", 12.9), ("s", True), ("n", "12"), ("seed", 1.0), ("model", 3)]
+    )
+    def test_manifest_param_of_wrong_kind(self, key, value, tmp_path, capsys):
+        params = {"model": "classical", "n": 12, "s": 4, key: value}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"subcommand": "gen", "params": params}))
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "gen", "--manifest", str(manifest), "--out", str(out))
+        assert_usage_error(code, err, repr(key))
+        assert not out.exists()
+
+    def test_env_seed_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PCSEMI_SEED", "7.5")
+        code, _, err = run(
+            capsys, "gen", "--model", "classical", "--n", "10", "--s", "3",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert_usage_error(code, err, "PCSEMI_SEED")
+
+    def test_explicit_zero_is_not_replaced_by_suite_default(self, capsys):
+        code, _, err = run(capsys, "verify", "union-bound", "--s", "0")
+        assert_usage_error(code, err, "s=0")
+
+    def test_unknown_model_flag(self, tmp_path, capsys):
+        code, _, err = run(capsys, "gen", "--model", "bogus", "--out", str(tmp_path / "x"))
+        assert_usage_error(code, err, "'model'")
+
+
+def edited_instance(tmp_path, capsys, edit):
+    """Write a small classical instance, apply ``edit`` to its record, and
+    run ``recover`` on the result."""
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--model", "classical", "--n", "10", "--s", "3", "--out", str(path))
+    record = json.loads(path.read_text())
+    edit(record)
+    path.write_text(json.dumps(record))
+    return run(capsys, "recover", "--in", str(path))
+
+
+class TestBadInstanceFile:
+    def test_grid_record_with_empty_line_rate_domain(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        run(
+            capsys, "gen", "--model", "coupled", "--n", "20", "--m", "11", "--k", "3",
+            "--out", str(path),
+        )
+        record = json.loads(path.read_text())
+        record["grid"].update(m=1, k=2)
+        path.write_text(json.dumps(record))
+        code, _, err = run(capsys, "recover", "--in", str(path))
+        assert_usage_error(code, err, "q > 0")
+
+    def test_non_finite_n(self, tmp_path, capsys):
+        # written as Infinity, which loads as the same float as 1e400
+        code, _, err = edited_instance(tmp_path, capsys, lambda r: r.update(n=1e400))
+        assert_usage_error(code, err, "n is inf")
+
+    def test_fractional_n(self, tmp_path, capsys):
+        code, _, err = edited_instance(tmp_path, capsys, lambda r: r.update(n=10.5))
+        assert_usage_error(code, err, "n is 10.5")
+
+    def test_clique_vertex_outside_graph(self, tmp_path, capsys):
+        code, _, err = edited_instance(tmp_path, capsys, lambda r: r.update(clique=[0, 17]))
+        assert_usage_error(code, err, "[17]")
+
+
+PARENT_OPTIONS = {
+    "gen": {"--model", "--n", "--s", "--m", "--k", "--adversary", "--seed", "--out",
+            "--manifest"},
+    "recover": {"--in", "--v", "--s", "--budget", "--out", "--manifest"},
+    "verify": {"suite", "--trials", "--seed", "--n", "--s", "--m", "--l0", "--csv",
+               "--manifest"},
+    "bounds": {"--mode", "--n", "--m", "--k", "--s", "--trials", "--seed", "--csv",
+               "--manifest"},
+    "experiment": {"tag", "--n", "--s", "--m", "--k", "--adversary", "--trials", "--seed",
+                   "--threads", "--csv", "--manifest"},
+}
+
+
+def test_each_subcommand_accepts_exactly_its_options():
+    (subparsers,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(subparsers.choices) == set(PARENT_OPTIONS)
+    for command, parser in subparsers.choices.items():
+        names = set()
+        for action in parser._actions:
+            names.update(action.option_strings or [action.dest])
+        assert names - {"-h", "--help"} == PARENT_OPTIONS[command], command
+
+
+def run_quiet(argv):
+    """main() with its output captured; a traceback fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 2)
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error:"), err
+
+
+# Integers stay small (|value| <= 64) so no example allocates a large n x n
+# array; the other values are the wrong kinds a hand-edited file may hold.
+SMALL_INT = st.integers(-64, 64)
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3), st.lists(SMALL_INT, max_size=2)
+)
+FIELD = st.one_of(
+    st.integers(-2, 24),
+    st.lists(st.integers(-2, 24), max_size=3),
+    st.lists(st.lists(st.integers(-2, 24), max_size=3), max_size=3),
+    JUNK,
+)
+
+GEN_PARAMS = st.fixed_dictionaries(
+    {
+        "model": st.sampled_from(["classical", "semirandom", "null-grid", "null-lines",
+                                  "coupled"]),
+        "n": st.integers(-2, 64),
+        "s": st.integers(-2, 64),
+        "m": st.sampled_from([-1, 0, 2, 3, 4, 5, 7, 11, 13]),
+        "k": st.integers(-1, 7),
+        "adversary": st.sampled_from(["empty", "random:0.3", "random:2", "random:x",
+                                      "extra_cliques:1", "extra_cliques:-1", "nonsense"]),
+        "seed": st.integers(0, 64),
+    }
+)
+
+
+def instance_records():
+    graph, grid = gen_null_grid(12, 5, 0)
+    return [
+        instance_to_json(gen_classical(10, 3, 0)),
+        instance_to_json(gen_coupled(20, 11, 3, 0)),
+        instance_record(graph, "null-grid", {"n": 12, "m": 5}, 0, grid=grid),
+    ]
+
+
+@st.composite
+def spoiled(draw, valid):
+    """A valid dict with one to three of its fields (or of its grid record's
+    fields) replaced, deleted or, for a list, extended by an arbitrary value."""
+    record = copy.deepcopy(draw(valid))
+    for _ in range(draw(st.integers(1, 3))):
+        target = record
+        if isinstance(record.get("grid"), dict) and draw(st.booleans()):
+            target = record["grid"]
+        if not target:
+            break
+        key = draw(st.sampled_from(sorted(target)))
+        action = draw(st.sampled_from(["replace", "delete", "append"]))
+        if action == "delete":
+            del target[key]
+        elif action == "append" and isinstance(target[key], list):
+            target[key].append(draw(FIELD))
+        else:
+            target[key] = draw(FIELD)
+    return record
+
+
+class TestFuzz:
+    """Any manifest or instance file exits 0 or 2, never with a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=st.one_of(GEN_PARAMS, spoiled(GEN_PARAMS)))
+    def test_gen_manifest_params(self, tmp_path_factory, params):
+        folder = tmp_path_factory.mktemp("gen")
+        manifest = folder / "m.json"
+        manifest.write_text(json.dumps({"subcommand": "gen", "params": params}))
+        argv = ["gen", "--manifest", str(manifest), "--out", str(folder / "x.json")]
+        assert_clean_exit(*run_quiet(argv))
+
+    @settings(max_examples=150, deadline=None)
+    @given(record=spoiled(st.sampled_from(instance_records())))
+    def test_recover_records(self, tmp_path_factory, record):
+        path = tmp_path_factory.mktemp("rec") / "inst.json"
+        path.write_text(json.dumps(record))
+        assert_clean_exit(*run_quiet(["recover", "--in", str(path)]))
 
 
 class TestFloatFormatting:

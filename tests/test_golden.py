@@ -15,6 +15,7 @@ would otherwise go unseen.
 
 import csv
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -101,21 +102,73 @@ LARGE_DIGESTS = {
 }
 
 
-def case_digest(name: str, tmp_path) -> str:
-    argv = CASES[name]
-    out = tmp_path / f"{name}.out"
-    flag = "--out" if argv[0] == "gen" else "--csv"
-    assert main(argv + [flag, str(out)]) == 0
-    if argv[0] != "experiment":
+def output_digest(command: str, out) -> str:
+    if command != "experiment":
         return hashlib.sha256(out.read_bytes()).hexdigest()
     with open(out, newline="") as fh:
         kept = "".join(f"{row['trial']},{row['jaccard']}\n" for row in csv.DictReader(fh))
     return hashlib.sha256(kept.encode()).hexdigest()
 
 
+def output_flag(command: str) -> str:
+    return "--out" if command == "gen" else "--csv"
+
+
+def case_digest(name: str, tmp_path) -> str:
+    argv = CASES[name]
+    out = tmp_path / f"{name}.out"
+    assert main(argv + [output_flag(argv[0]), str(out)]) == 0
+    return output_digest(argv[0], out)
+
+
+def replay_digest(command: str, manifest, tmp_path) -> str:
+    out = tmp_path / "replay.out"
+    assert main([command, "--manifest", str(manifest), output_flag(command), str(out)]) == 0
+    return output_digest(command, out)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, tmp_path, capsys):
     assert case_digest(name, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_manifest_replay_digest(name, tmp_path, capsys):
+    """Replaying the manifest a case wrote reproduces the case's output."""
+    case_digest(name, tmp_path)
+    manifest = tmp_path / f"{name}.out.manifest.json"
+    assert replay_digest(CASES[name][0], manifest, tmp_path) == DIGESTS[name]
+
+
+# Manifests in the earlier format, which wrote null for every parameter a
+# verify suite or an experiment tag fills in; the digest is of the output.
+EARLIER_MANIFESTS = {
+    "verify-chain": (
+        {
+            "subcommand": "verify",
+            "params": {"csv": "c.csv", "l0": None, "m": None, "n": None, "s": None,
+                       "seed": 0, "suite": "chain", "trials": 50},
+        },
+        "01a840d21f53f9afc07dc93e2a1670cfa56727b9934b653c0c89f140ddf3eca3",
+    ),
+    "experiment-coupled-lower": (
+        {
+            "subcommand": "experiment",
+            "params": {"adversary": None, "csv": "e.csv", "k": None, "m": None, "n": None,
+                       "s": None, "seed": 4, "tag": "coupled-lower", "threads": 1,
+                       "trials": 6},
+        },
+        DIGESTS["experiment-coupled-lower"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLIER_MANIFESTS))
+def test_earlier_manifest_replays(name, tmp_path, capsys):
+    manifest, digest = EARLIER_MANIFESTS[name]
+    path = tmp_path / "earlier.manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert replay_digest(manifest["subcommand"], path, tmp_path) == digest
 
 
 def large_digest(s: int) -> str:

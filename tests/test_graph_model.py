@@ -233,6 +233,13 @@ class TestNullLines:
         _, cfg = gen_null_lines(20, 11, 2, 0)
         assert cfg.q == pytest.approx(0.45)
         assert line_rate(11, 3) == pytest.approx(0.5 - 2 / 18)
+        assert line_rate(5, 3) > 0 and line_rate(5, 1) == 0.5
+
+    @pytest.mark.parametrize("m, k", [(1, 2), (5, 0), (5, 4), (4, 3)])
+    def test_rate_domain(self, m, k):
+        """q > 0 needs 1 <= k and k - 1 < m - k + 1."""
+        with pytest.raises(ValueError, match="q > 0"):
+            line_rate(m, k)
 
     def test_prime_required(self):
         with pytest.raises(ValueError):
