@@ -46,7 +46,7 @@ from .analysis import (  # noqa: F401
     BoundLedger,
     ColumnLaw,
     chained_kl_bound,
-    column_law_grid,
+    column_law,
     column_law_lines,
     exact_chain_rhs,
     exact_joint_kl,

@@ -1,7 +1,8 @@
 """Certification of the divergence bounds behind the coupled construction.
 
 Everything here either computes an exact quantity by enumeration (conditional
-column laws, joint graph laws at tiny scale, hypergeometric expectations,
+column laws, one candidate enumeration over the assignment state in both
+design modes; joint graph laws at tiny scale; hypergeometric expectations;
 union-bound tails) or evaluates a closed-form bound and pairs it with the
 exact value so the inequality can be checked instance by instance.
 """
@@ -69,48 +70,15 @@ class ColumnLaw:
     sigma_counts: dict[int, int]
 
 
-def column_law_grid(state: AssignmentState) -> ColumnLaw:
-    """Column law in grid mode: at most one coordinate is perturbed, the one
-    whose grid column the fresh point lands in.
-
-    pi_j = (m - 1 - N(b_j)) / (m^2 - m - d) with N the prior occupancy of
-    column b_j and d the number of prior assignments.
-    """
-    if state.mode != "grid":
-        raise ValueError("state is not in grid mode")
-    m = state.m
-    s = len(state.clique_points)
-    d = len(state.prior_points)
-    denom = m * m - m - d
-    if denom <= 0:
-        raise ValueError("no unused off-row points remain")
-    occupancy = Counter(b for _, b in state.prior_points)
-    counts = tuple(occupancy.get(cp[1], 0) for cp in state.clique_points)
-    numerators = [m - 1 - c for c in counts]
-    sigma_counts = {1 << j: numerators[j] for j in range(s) if numerators[j]}
-    sigma_counts[0] = denom - sum(numerators)
-    spec = PBSpec(
-        s=s, q=state.q, sigma={mask: c / denom for mask, c in sigma_counts.items()}
-    )
-    return ColumnLaw(
-        spec=spec,
-        pi=tuple(v / denom for v in numerators),
-        counts=counts,
-        denominator=denom,
-        sigma_counts=sigma_counts,
-    )
-
-
-def column_law_lines(state: AssignmentState) -> ColumnLaw:
-    """Column law in line mode, by full enumeration of the unused
-    off-line points: sigma(J) is the fraction of candidates whose slope
-    lines hit exactly the clique coordinates J."""
-    if state.mode != "lines":
-        raise ValueError("state is not in line mode")
+def column_law(state: AssignmentState) -> ColumnLaw:
+    """Column law by full enumeration of the unused off-structure points, in
+    either design mode: sigma(J) is the fraction of candidates that force
+    exactly the clique coordinates J.  In grid mode J holds at most the one
+    coordinate whose column the point lands in."""
     masks = state.masks[state.free]
     denom = len(masks)
     if not denom:
-        raise ValueError("no unused off-line points remain")
+        raise ValueError("no unused off-structure points remain")
     s = len(state.clique_points)
     # distinct masks, keyed in order of first occurrence
     keys, first, tally = np.unique(masks, return_index=True, return_counts=True)
@@ -127,6 +95,10 @@ def column_law_lines(state: AssignmentState) -> ColumnLaw:
         denominator=denom,
         sigma_counts=sigma_counts,
     )
+
+
+# the line-mode name, kept for callers written against it
+column_law_lines = column_law
 
 
 def random_prefix_state(
@@ -301,11 +273,10 @@ def chained_kl_bound(
             raise ValueError("not enough off-structure points for the prefix")
         ref = reference_law(state.q, s)
         for idx in range(cols):
+            law = column_law(state)
             if mode == "grid":
-                law = column_law_grid(state)
                 per_bound[t, idx] = kl_local_bound_grid(law, m)
             else:
-                law = column_law_lines(state)
                 per_bound[t, idx] = kl_local_bound_lines(law, n, m, k)
             per_exact[t, idx] = kl_exact(law.spec, ref)
             if idx < cols - 1:
@@ -343,6 +314,7 @@ def chained_kl_bound(
 
 
 _MAX_ASSIGNMENTS = 4_000_000
+_MAX_GRAPH_N = 7  # a graph law is a table of 2^C(n,2) floats, 2^21 at n = 7
 
 
 def _falling(total: int, take: int) -> int:
@@ -363,6 +335,10 @@ def hg_pmf(count: int, draws: int, marked: int, total: int) -> float:
 
 
 def _pairs(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+    if not 0 <= n <= _MAX_GRAPH_N:
+        raise ValueError(
+            f"an exact graph law has 2^C(n,2) states: need 0 <= n <= {_MAX_GRAPH_N}, got n={n}"
+        )
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return pairs, {p: r for r, p in enumerate(pairs)}
 
@@ -380,6 +356,7 @@ def _mode_rate(m: int, mode: str, k: int) -> float:
 def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray:
     """Exact null graph law over all 2^C(n,2) graphs, by summing over every
     ordered distinct point assignment."""
+    pairs, _ = _pairs(n)
     q = _mode_rate(m, mode, k)
     if n > m * m:
         raise ValueError(f"need n <= m^2, got n={n}, m={m}")
@@ -388,7 +365,6 @@ def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray
         raise ValueError(f"state space too large: {total} assignments")
     pts = [(a, b) for a in range(m) for b in range(m)]
     rel = related(pts, pts, mode, m, k).tolist()  # assignments are distinct
-    pairs, _ = _pairs(n)
     forced_tally: Counter[int] = Counter()
     for assign in itertools.permutations(range(m * m), n):
         f = 0
@@ -402,20 +378,13 @@ def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray
     return _or_coins(vec, q)
 
 
-def _column_likelihoods(
-    off_pts: list[tuple[int, int]],
-    clique_pts: tuple[tuple[int, int], ...],
-    m: int,
-    mode: str,
-    k: int,
-    q: float,
-) -> dict[tuple[int, int], np.ndarray]:
-    """Per candidate point, the likelihood of every possible clique column."""
-    s = len(clique_pts)
-    jmasks = related(off_pts, clique_pts, mode, m, k) @ (1 << np.arange(s, dtype=np.int64))
-    tables = np.zeros((len(off_pts), 1 << s))
-    tables[np.arange(len(off_pts)), jmasks] = 1.0
-    return dict(zip(off_pts, _or_coins(tables, q)))
+def _column_likelihoods(state: AssignmentState) -> dict[tuple[int, int], np.ndarray]:
+    """Per unused candidate point, the likelihood of every possible clique
+    column: fair coins of rate q except on the coordinates the point forces."""
+    masks = state.masks[state.free]
+    tables = np.zeros((len(masks), 1 << len(state.clique_points)))
+    tables[np.arange(len(masks)), masks] = 1.0
+    return dict(zip(state.unused_candidates(), _or_coins(tables, state.q)))
 
 
 def exact_coupled_law(
@@ -433,12 +402,12 @@ def exact_coupled_law(
     restricts the clique-size branches; the returned vector then sums to the
     probability of that window (renormalize for the conditioned law).
     """
+    pairs, rank = _pairs(n)
     q = _mode_rate(m, mode, k)
     if n > m * m:
         raise ValueError(f"need n <= m^2, got n={n}, m={m}")
     if _falling(m * m - m, n) > _MAX_ASSIGNMENTS:
         raise ValueError("state space too large")
-    pairs, rank = _pairs(n)
     npairs = len(pairs)
     graphs = np.arange(1 << npairs, dtype=np.int64)
     vec = np.zeros(1 << npairs)
@@ -473,7 +442,9 @@ def exact_coupled_law(
                 )
                 mtot = np.zeros((1 << (r * s), 1 << len(nn_pairs)))
                 for spts in itertools.permutations(line_pts, s):
-                    tables = _column_likelihoods(off_pts, spts, m, mode, k, q)
+                    tables = _column_likelihoods(
+                        AssignmentState(mode, m, k, q, (rstar, 0), spts)
+                    )
                     _accumulate_tuples(
                         mtot,
                         off_pts,
@@ -640,7 +611,7 @@ def _expected_line_column_kl(s, d, m, k, q, ref) -> float:
                 state = base
                 for p in priors:
                     state = state.with_point(p)
-                law = column_law_lines(state)
+                law = column_law(state)
                 acc += kl_exact(law.spec, ref)
         out += acc / (n_s * n_p)
     return out / k

@@ -26,8 +26,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import (
     chained_kl_bound,
-    column_law_grid,
-    column_law_lines,
+    column_law,
     exact_chain_rhs,
     exact_joint_kl,
     hg_bound,
@@ -309,6 +308,12 @@ _LAW_SWEEP = [
 
 
 def _suite_column_laws(p):
+    """Enumerated column laws against the occupancy formula as exact
+    rationals, S({j}) = ((k-1)(m-1) - hits_j) / (m^2 - m - d), with hits_j
+    counted by a scalar relation of its own (same row or column in grid mode,
+    where k = 2; ``bowtie`` in line mode).  A candidate meets the planted
+    structure once per non-parallel family, so it forces at most k - 1
+    coordinates."""
     rng = stream(p["seed"], "column-laws")
     header = ["mode", "m", "k", "s", "trial", "prefix", "match"]
     rows, bad = [], 0
@@ -316,36 +321,21 @@ def _suite_column_laws(p):
         for t in range(p["trials"]):
             d = int(rng.integers(0, 2 * m + 1))
             state = random_prefix_state(rng, mode, m, k, s, d)
-            if mode == "grid":
-                law = column_law_grid(state)
-                observed = {}
-                for cand in state.unused_candidates():
-                    mask = state.perturb_mask(cand)
-                    observed[mask] = observed.get(mask, 0) + 1
-                match = observed == law.sigma_counts and law.denominator == len(
-                    state.unused_candidates()
+            law = column_law(state)
+            denom = m * m - m - d
+            match = law.denominator == denom and all(
+                mask.bit_count() <= k - 1 for mask in law.sigma_counts
+            )
+            for j, cpt in enumerate(state.clique_points):
+                hits = sum(
+                    (u[0] == cpt[0] or u[1] == cpt[1]) if mode == "grid" else bowtie(u, cpt, m, k)
+                    for u in state.prior_points
                 )
-            else:
-                law = column_law_lines(state)
-                match = True
-                for j, cpt in enumerate(state.clique_points):
-                    hits = sum(
-                        1
-                        for prior in state.prior_points
-                        if bowtie(prior, cpt, m, k)
-                    )
-                    enumerated = Fraction(
-                        sum(
-                            c
-                            for mask, c in law.sigma_counts.items()
-                            if mask >> j & 1
-                        ),
-                        law.denominator,
-                    )
-                    formula = Fraction(
-                        (k - 1) * (m - 1) - hits, m * m - m - len(state.prior_points)
-                    )
-                    match = match and enumerated == formula
+                enumerated = Fraction(
+                    sum(c for mask, c in law.sigma_counts.items() if mask >> j & 1),
+                    law.denominator,
+                )
+                match = match and enumerated == Fraction((k - 1) * (m - 1) - hits, denom)
             bad += not match
             rows.append([mode, m, k, s, t, d, int(match)])
     return header, rows, bad
@@ -374,11 +364,10 @@ def _suite_local_bounds(p):
         for t in range(p["trials"]):
             d = int(rng.integers(0, 2 * m + 1))
             state = random_prefix_state(rng, mode, m, k, s, d)
+            law = column_law(state)
             if mode == "grid":
-                law = column_law_grid(state)
                 bound = kl_local_bound_grid(law, m)
             else:
-                law = column_law_lines(state)
                 bound = kl_local_bound_lines(law, n, m, k)
             exact = kl_exact(law.spec, bernoulli_lift(state.q, 0.5, s))
             ok = exact <= bound + INEQUALITY_TOL
@@ -416,6 +405,8 @@ def _suite_hg(p):
 
 def _suite_union_bound(p):
     n, s = p["n"], p["s"]
+    if not 1 <= s <= n:
+        raise ValueError(f"need 1 <= --s <= --n, got --s={s}, --n={n}")
     l0 = p["l0"] if p["l0"] is not None else math.ceil(3 * math.log2(n))
     header = ["n", "s", "l0", "value", "cap", "ok"]
     value = union_bound_probability(n, s, l0)

@@ -491,11 +491,6 @@ class AssignmentState:
         points, _ = _label_table(self.mode, self.m, self.k)
         return list(compress(points, self.free.tolist()))
 
-    def perturb_mask(self, p: Point) -> int:
-        """Bit mask of clique coordinates whose edge the point forces."""
-        row = self.forced[p[0] * self.m + p[1]]
-        return sum(1 << j for j in np.flatnonzero(row).tolist())
-
     def with_point(self, p: Point) -> "AssignmentState":
         idx = p[0] * self.m + p[1]
         free = self.free.copy()

@@ -176,6 +176,8 @@ def recover(graph: Graph, v: int, s: int, budget: int = DEFAULT_BUDGET) -> Recov
     """Output the unique good clique containing v, else the empty set."""
     if not 0 <= v < graph.n:
         raise ValueError(f"vertex {v} outside [0, {graph.n})")
+    if s < 1:
+        raise ValueError(f"need clique size s >= 1, got s={s}")
     enum = maximal_cliques(graph, min_size=s, budget=budget)
     good = good_cliques(enum, s, graph.n)
     holding = [c for c in good.cliques if v in c]

@@ -14,8 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from pcsemi.analysis import (
-    column_law_grid,
-    column_law_lines,
+    column_law,
     exact_chain_rhs,
     exact_joint_kl,
     hg_bound,
@@ -120,10 +119,14 @@ def test_c03_column_law_identities():
         for _ in range(50):
             d = int(rng.integers(0, 2 * m + 1))
             state = random_prefix_state(rng, "grid", m, k, s, d)
-            law = column_law_grid(state)
+            law = column_law(state)
             observed = {}
-            for cand in state.unused_candidates():
-                mask = state.perturb_mask(cand)
+            for a, b in state.unused_candidates():
+                mask = sum(
+                    1 << j
+                    for j, (ca, cb) in enumerate(state.clique_points)
+                    if a == ca or b == cb
+                )
                 observed[mask] = observed.get(mask, 0) + 1
             occupancy = [0] * m
             for _, b in state.prior_points:
@@ -137,7 +140,7 @@ def test_c03_column_law_identities():
         for _ in range(50):
             d = int(rng.integers(0, 2 * m + 1))
             state = random_prefix_state(rng, "lines", m, k, s, d)
-            law = column_law_lines(state)
+            law = column_law(state)
             for j, cpt in enumerate(state.clique_points):
                 hits = sum(1 for p in state.prior_points if bowtie(p, cpt, m, k))
                 enumerated = Fraction(
@@ -176,7 +179,7 @@ def test_c04_local_kl_bounds():
         for _ in range(50):
             d = int(rng.integers(0, 2 * m + 1))
             state = random_prefix_state(rng, "grid", m, k, s, d)
-            law = column_law_grid(state)
+            law = column_law(state)
             exact = kl_exact(law.spec, reference_law(state.q, s))
             cases += 1
             if exact > kl_local_bound_grid(law, m) + TOL_INEQ:
@@ -191,7 +194,7 @@ def test_c04_local_kl_bounds():
         for _ in range(50):
             d = int(rng.integers(0, 2 * m + 1))
             state = random_prefix_state(rng, "lines", m, k, s, d)
-            law = column_law_lines(state)
+            law = column_law(state)
             exact = kl_exact(law.spec, reference_law(state.q, s))
             cases += 1
             if exact > kl_local_bound_lines(law, n, m, k) + TOL_INEQ:

@@ -13,7 +13,7 @@ import pytest
 from pcsemi.analysis import (
     chained_kl_bound,
     closed_form_chain_terms,
-    column_law_grid,
+    column_law,
     column_law_lines,
     exact_chain_rhs,
     exact_coupled_law,
@@ -30,7 +30,7 @@ from pcsemi.analysis import (
     reference_law,
     tv_from_kl,
 )
-from pcsemi.analysis import _column_likelihoods
+from pcsemi.analysis import _column_likelihoods, _expected_grid_column_kl
 from pcsemi.graph_model import (
     AssignmentState,
     bowtie,
@@ -47,7 +47,7 @@ class TestColumnLawGrid:
     def test_fresh_rates_are_uniform(self):
         rng = np.random.default_rng(0)
         state = random_prefix_state(rng, "grid", 13, 2, 4, 0)
-        law = column_law_grid(state)
+        law = column_law(state)
         assert law.pi == tuple([pytest.approx(1 / 13)] * 4)
         assert law.denominator == 13 * 13 - 13
         assert sum(law.sigma_counts.values()) == law.denominator
@@ -56,7 +56,7 @@ class TestColumnLawGrid:
         rng = np.random.default_rng(0)
         state = random_prefix_state(rng, "grid", 13, 2, 4, 0)
         state = state.with_point((5, state.clique_points[0][1]))
-        law = column_law_grid(state)
+        law = column_law(state)
         assert Fraction(law.sigma_counts[1], law.denominator) == Fraction(11, 155)
         assert Fraction(law.sigma_counts[2], law.denominator) == Fraction(12, 155)
         assert law.counts == (1, 0, 0, 0)
@@ -68,7 +68,7 @@ class TestColumnLawGrid:
         for _ in range(20):
             d = int(rng.integers(0, 30))
             state = random_prefix_state(rng, "grid", 11, 2, 3, d)
-            law = column_law_grid(state)
+            law = column_law(state)
             occupancy = [0] * 11
             for _, b in state.prior_points:
                 occupancy[b] += 1
@@ -76,37 +76,83 @@ class TestColumnLawGrid:
             assert total == 1
 
     def test_matches_direct_candidate_enumeration(self):
-        """Formula-based masses equal a direct tally of the unused points."""
+        """Every field of the law equals a brute-force tally over the grid
+        with the scalar grid relation (same row or same column), keys in
+        first-occurrence order."""
         rng = np.random.default_rng(8)
         for _ in range(25):
             m = int(rng.choice([7, 11, 13]))
             s = int(rng.integers(2, 5))
             d = int(rng.integers(0, 2 * m))
             state = random_prefix_state(rng, "grid", m, 2, s, d)
-            law = column_law_grid(state)
-            observed = {}
-            for cand in state.unused_candidates():
-                mask = state.perturb_mask(cand)
-                observed[mask] = observed.get(mask, 0) + 1
-            assert observed == law.sigma_counts
+            used = set(state.prior_points)
+            tally = {}
+            for a in range(1, m):  # the planted row is row 0
+                for b in range(m):
+                    if (a, b) in used:
+                        continue
+                    mask = sum(
+                        1 << j
+                        for j, (ca, cb) in enumerate(state.clique_points)
+                        if a == ca or b == cb
+                    )
+                    tally[mask] = tally.get(mask, 0) + 1
+            law = column_law(state)
+            assert law.denominator == m * m - m - d
+            assert list(law.sigma_counts.items()) == list(tally.items())
+            for j, (_, cb) in enumerate(state.clique_points):
+                assert law.counts[j] == sum(1 for _, b in state.prior_points if b == cb)
+                assert law.pi[j] == (m - 1 - law.counts[j]) / law.denominator
 
     def test_exhausted_universe_rejected(self):
         state = random_prefix_state(np.random.default_rng(0), "grid", 3, 2, 2, 6)
         with pytest.raises(ValueError):
-            column_law_grid(state)
+            column_law(state)
 
-    def test_mode_check(self):
-        state = random_prefix_state(np.random.default_rng(0), "lines", 7, 2, 2, 0)
-        with pytest.raises(ValueError):
-            column_law_grid(state)
+    def test_expected_kl_closed_form_matches_enumeration(self):
+        """The occupancy-vector sum behind the exact chain bound equals the
+        mean column KL of the enumerated law over every clique-point subset
+        of the planted row and every prefix of d off-row points."""
+
+        def with_subsets(state, points):
+            yield state
+            for i, p in enumerate(points):
+                yield from with_subsets(state.with_point(p), points[i + 1:])
+
+        for m in (3, 4):
+            q = grid_rate(m)
+            off = [(a, b) for a in range(1, m) for b in range(m)]
+            for s in range(1, m + 1):
+                ref = reference_law(q, s)
+                kls = [[] for _ in off]  # by prefix length d < len(off)
+                memo = {}
+                for cols in itertools.combinations(range(m), s):
+                    clique = tuple((0, b) for b in cols)
+                    base = AssignmentState("grid", m, 2, q, (0, 0), clique)
+                    for state in with_subsets(base, off):
+                        d = len(state.prior_points)
+                        if d == len(off):
+                            continue
+                        law = column_law(state)
+                        key = (d, tuple(sorted(law.sigma_counts.items())))
+                        if key not in memo:
+                            memo[key] = kl_exact(law.spec, ref)
+                        kls[d].append(memo[key])
+                for d, values in enumerate(kls):
+                    want = math.fsum(values) / len(values)
+                    got = _expected_grid_column_kl(s, d, m, q, ref)
+                    assert abs(got - want) <= 1e-12 * abs(want), (m, s, d)
 
 
 class TestColumnLawLines:
+    def test_line_name_is_the_one_law(self):
+        assert column_law_lines is column_law
+
     def test_fresh_singleton_rate(self):
         rng = np.random.default_rng(1)
         for m, k in [(7, 2), (11, 3), (13, 2)]:
             state = random_prefix_state(rng, "lines", m, k, 1, 0)
-            law = column_law_lines(state)
+            law = column_law(state)
             assert Fraction(
                 sum(c for mask, c in law.sigma_counts.items() if mask & 1),
                 law.denominator,
@@ -134,7 +180,7 @@ class TestColumnLawLines:
                             if bowtie((a, b), c, m, k)
                         )
                         tally[mask] = tally.get(mask, 0) + 1
-                law = column_law_lines(state)
+                law = column_law(state)
                 denom = sum(tally.values())
                 assert law.denominator == denom == m * m - m - d
                 assert list(law.sigma_counts.items()) == list(tally.items())
@@ -150,7 +196,7 @@ class TestColumnLawLines:
         state = random_prefix_state(np.random.default_rng(4), "lines", m, 2, 3, m * m - m)
         assert state.unused_candidates() == []
         with pytest.raises(ValueError, match="no unused"):
-            column_law_lines(state)
+            column_law(state)
 
     def test_singleton_rates_match_occupancy_formula(self):
         """Enumerated S({j}) equals ((k-1)(m-1) - N(j)) / (m^2 - m - d) as
@@ -161,7 +207,7 @@ class TestColumnLawLines:
                 s = int(rng.integers(2, 5))
                 d = int(rng.integers(0, 2 * m))
                 state = random_prefix_state(rng, "lines", m, k, s, d)
-                law = column_law_lines(state)
+                law = column_law(state)
                 for j, cpt in enumerate(state.clique_points):
                     hits = sum(
                         1 for p in state.prior_points if bowtie(p, cpt, m, k)
@@ -188,7 +234,7 @@ class TestColumnLawLines:
                 s = int(rng.integers(2, 5))
                 d = int(rng.integers(0, m))
                 state = random_prefix_state(rng, "lines", m, k, s, d)
-                law = column_law_lines(state)
+                law = column_law(state)
                 stats = superset_sum(law.spec)
                 for mask in range(1 << s):
                     if mask.bit_count() >= 2:
@@ -202,7 +248,7 @@ class TestColumnLawLines:
             k = int(rng.integers(2, 4))
             s = int(rng.integers(2, 5))
             state = random_prefix_state(rng, "lines", m, k, s, int(rng.integers(0, m)))
-            law = column_law_lines(state)
+            law = column_law(state)
             tail = pair_tail_mass(law)
             direct = sum(
                 (2 ** mask.bit_count() - mask.bit_count() - 1) * c
@@ -214,14 +260,14 @@ class TestColumnLawLines:
 class TestLocalBounds:
     def test_fresh_grid_bound_is_constant_term(self):
         state = random_prefix_state(np.random.default_rng(0), "grid", 13, 2, 4, 0)
-        law = column_law_grid(state)
+        law = column_law(state)
         assert kl_local_bound_grid(law, 13) == pytest.approx(3 * 16 / 11**4)
 
     def test_grid_bound_hand_value(self):
         """One prior draw on the first clique column, m=13, s=4."""
         state = random_prefix_state(np.random.default_rng(0), "grid", 13, 2, 4, 0)
         state = state.with_point((7, state.clique_points[0][1]))
-        law = column_law_grid(state)
+        law = column_law(state)
         hand = 3 * 16 / 11**4 + 3 * (
             (11 / 155 - 1 / 13) ** 2 + 3 * (12 / 155 - 1 / 13) ** 2
         )
@@ -232,17 +278,17 @@ class TestLocalBounds:
     def test_grid_hypothesis_enforced(self):
         state = random_prefix_state(np.random.default_rng(0), "grid", 7, 2, 2, 0)
         with pytest.raises(ValueError):
-            kl_local_bound_grid(column_law_grid(state), 7)
+            kl_local_bound_grid(column_law(state), 7)
 
     def test_lines_hypotheses_enforced(self):
         rng = np.random.default_rng(0)
         state = random_prefix_state(rng, "lines", 11, 3, 2, 0)
-        law = column_law_lines(state)
+        law = column_law(state)
         with pytest.raises(ValueError):
             kl_local_bound_lines(law, 20, 11, 3)  # k > m/4
         state = random_prefix_state(rng, "lines", 29, 2, 4, 0)
         with pytest.raises(ValueError):
-            kl_local_bound_lines(column_law_lines(state), 20, 29, 2)  # s too big
+            kl_local_bound_lines(column_law(state), 20, 29, 2)  # s too big
 
     def test_bounds_dominate_exact_kl(self):
         rng = np.random.default_rng(6)
@@ -257,11 +303,10 @@ class TestLocalBounds:
             for _ in range(10):
                 d = int(rng.integers(0, 2 * m))
                 state = random_prefix_state(rng, mode, m, k, s, d)
+                law = column_law(state)
                 if mode == "grid":
-                    law = column_law_grid(state)
                     bound = kl_local_bound_grid(law, m)
                 else:
-                    law = column_law_lines(state)
                     bound = kl_local_bound_lines(law, n, m, k)
                 exact = kl_exact(law.spec, reference_law(state.q, s))
                 assert exact <= bound + 1e-9
@@ -276,7 +321,7 @@ class TestLocalBounds:
             target = (k - 1) / m
             for _ in range(10):
                 state = random_prefix_state(rng, "lines", m, k, s, int(rng.integers(0, m)))
-                law = column_law_lines(state)
+                law = column_law(state)
                 expr = (
                     3 * sum((p - target) ** 2 for p in law.pi)
                     + 12 * k**4 * s * s / m**4
@@ -427,6 +472,13 @@ class TestExactJointLaws:
         with pytest.raises(ValueError):
             exact_null_law(6, 5, "grid")
 
+    @pytest.mark.parametrize("law", [exact_null_law, exact_coupled_law, exact_joint_kl])
+    def test_graph_table_cap(self, law):
+        """n = 9 would ask for 2^36 graph states; refused before any table
+        is built or any assignment enumerated."""
+        with pytest.raises(ValueError, match="need 0 <= n <= 7, got n=9"):
+            law(9, 3, "grid")
+
     def test_generator_frequencies_match_enumerated_law(self):
         """The coupled generator's empirical graph distribution agrees with
         the enumerated law conditioned on a nonzero clique size (the
@@ -494,7 +546,7 @@ class TestForcedCoinKernel:
         planted = (0, 0) if mode == "grid" else (1, 0)
         clique = tuple(structure_points(planted, m)[:s])
         off = AssignmentState(mode, m, k, q, planted, ()).unused_candidates()
-        tables = _column_likelihoods(off, clique, m, mode, k, q)
+        tables = _column_likelihoods(AssignmentState(mode, m, k, q, planted, clique))
         assert list(tables) == off
         for p in off:
             hits = related([p], clique, mode, m, k)[0]

@@ -351,6 +351,25 @@ class TestBadInput:
         code, _, err = run(capsys, "verify", "union-bound", "--s", "0")
         assert_usage_error(code, err, "s=0")
 
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_union_bound_nonpositive_n(self, n, capsys):
+        code, _, err = run(capsys, "verify", "union-bound", "--n", n)
+        assert_usage_error(code, err, f"need 1 <= --s <= --n, got --s=60, --n={n}")
+
+    @pytest.mark.parametrize("s", ["0", "-3"])
+    def test_recover_clique_size_below_one(self, s, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        run(capsys, "gen", "--model", "classical", "--n", "12", "--s", "4", "--out", str(inst))
+        code, text, err = run(capsys, "recover", "--in", str(inst), "--s", s)
+        assert_usage_error(code, err, f"s >= 1, got s={s}")
+        assert text == ""
+
+    @pytest.mark.parametrize("n", ["9", "-3"])
+    def test_chain_graph_table_cap(self, n, capsys):
+        code, out, err = run(capsys, "verify", "chain", "--n", n)
+        assert_usage_error(code, err, f"need 0 <= n <= 7, got n={n}")
+        assert out == ""
+
     def test_unknown_model_flag(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--model", "bogus", "--out", str(tmp_path / "x"))
         assert_usage_error(code, err, "'model'")

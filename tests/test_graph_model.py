@@ -376,25 +376,25 @@ class TestConditionalAssignment:
         cands, weights = column_weights(state, [0, 0, 0])
         q = state.q
         for p, w in zip(cands, weights):
-            if state.perturb_mask(p):
+            if state.masks[p[0] * 7 + p[1]]:
                 assert w == 0.0
             else:
                 assert w == pytest.approx((1 - q) ** 3)
         rng = np.random.default_rng(5)
         for _ in range(50):
             p = conditional_assignment(state, [0, 0, 0], rng)
-            assert state.perturb_mask(p) == 0
+            assert state.masks[p[0] * 7 + p[1]] == 0
 
     def test_marginal_perturbation_rate_is_one_over_m(self):
         """Averaged over columns drawn from the null column law, the chance
         that the sampled point perturbs coordinate j is exactly 1/m.
         Enumerated over all candidate points and columns."""
-        from pcsemi.analysis import column_law_grid
+        from pcsemi.analysis import column_law
         from pcsemi.perturbed_bernoulli import pmf_vector
 
         m, s = 9, 3
         state = fresh_grid_state(m, s)
-        law = column_law_grid(state)
+        law = column_law(state)
         col_probs = pmf_vector(law.spec)
         for j in range(s):
             marginal = 0.0
@@ -407,7 +407,7 @@ class TestConditionalAssignment:
                 perturbing = sum(
                     w
                     for p, w in zip(cands, weights)
-                    if state.perturb_mask(p) >> j & 1
+                    if int(state.masks[p[0] * m + p[1]]) >> j & 1
                 )
                 marginal += col_probs[cmask] * perturbing / total
             assert marginal == pytest.approx(1.0 / m, abs=1e-12)
@@ -459,7 +459,7 @@ class TestAssignmentStateArrays:
     with those the constructor builds from the whole prefix."""
 
     def test_constructor_and_chain_agree(self):
-        from pcsemi.analysis import column_law_lines
+        from pcsemi.analysis import column_law
 
         rng = np.random.default_rng(11)
         for m, k, s in [(7, 2, 2), (11, 3, 4), (13, 2, 3)]:
@@ -472,7 +472,7 @@ class TestAssignmentStateArrays:
             built = dataclasses.replace(base, prior_points=tuple(prior))
             assert built == chained
             assert built.unused_candidates() == chained.unused_candidates()
-            assert column_law_lines(built) == column_law_lines(chained)
+            assert column_law(built) == column_law(chained)
             for _ in range(5):
                 column = (rng.random(s) < 0.5).astype(int)
                 cb, wb = column_weights(built, column)
@@ -514,7 +514,7 @@ class TestAssignmentStateArrays:
         assert a != state.with_point(r).with_point(p)
         assert "free" not in repr(a) and "forced" not in repr(a)
 
-    def test_perturb_mask_matches_bowtie(self):
+    def test_masks_match_bowtie(self):
         state = line_state(11, 3, 4, np.random.default_rng(2))
         for a in range(11):
             for b in range(11):
@@ -523,7 +523,6 @@ class TestAssignmentStateArrays:
                     for j, c in enumerate(state.clique_points)
                     if bowtie((a, b), c, 11, 3)
                 )
-                assert state.perturb_mask((a, b)) == expected
                 assert int(state.masks[a * 11 + b]) == expected
 
 

@@ -246,6 +246,12 @@ class TestRecover:
         assert res.good_clique_count == 2
         assert not res.truncated
 
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_clique_size_below_one_rejected(self, s):
+        g, _ = two_cliques([6, 6], n=14)
+        with pytest.raises(ValueError, match="s >= 1"):
+            recover(g, 0, s)
+
     def test_unique_good_clique_survives_sparse_noise(self):
         rng = np.random.default_rng(13)
         g, groups = two_cliques([6, 6], n=16)
