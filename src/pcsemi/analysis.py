@@ -13,7 +13,6 @@ import itertools
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -106,17 +105,14 @@ def random_prefix_state(
 ) -> AssignmentState:
     """Random planted structure plus d uniformly drawn prior points, i.e. a
     null-law prefix of length d."""
+    q = _mode_rate(m, mode, k)
     if mode == "grid":
-        q = grid_rate(m)
         planted = (0, 0)
         k = 2
-    elif mode == "lines":
-        q = line_rate(m, k)
+    else:
         rstar = int(rng.integers(k))
         hstar = int(rng.integers(m))
         planted = (rstar, hstar)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     line = structure_points(planted, m)
     cpts = tuple(line[b] for b in rng.permutation(m)[:s].tolist())
     state = AssignmentState(
@@ -794,6 +790,10 @@ def jaccard_experiment(
         for t in range(trials)
     ]
     if threads > 1:
+        # imported here: multiprocessing costs every ``import pcsemi`` about
+        # 1 MB of resident memory, and single-threaded runs never use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_experiment_trial, args))
     else:

@@ -33,8 +33,13 @@ class CliqueSet:
 
 @dataclass(frozen=True)
 class RecoveryResult:
+    """The recovered set, the number of good cliques, and the enumeration
+    effort: ``budget_used`` search nodes, ``truncated`` once the budget ran
+    out."""
+
     vertices: frozenset[int]
     good_clique_count: int
+    budget_used: int
     truncated: bool
 
 
@@ -43,19 +48,27 @@ def maximal_cliques(graph: Graph, min_size: int = 1, budget: int = DEFAULT_BUDGE
 
     Each search node extends ``members`` by candidates ``cand``, with
     ``done`` the vertices already branched on.  Let need = min_size -
-    |members| - 1.  Before it branches, a node peels ``cand`` to a
-    fixpoint: a candidate with fewer than ``need`` neighbours in ``cand``
-    lies in no clique of size >= min_size that extends ``members``, so it is
-    dropped, and the node is cut once |cand| <= need.  The pivot is the
-    vertex of cand | done with the most neighbours in ``cand``
-    (Tomita-Tanaka-Takahashi); the same scoring pass drops every ``done``
-    vertex with at most ``need`` neighbours in ``cand``, which is adjacent
-    to all of no such clique.
+    |members| - 1, so a clique of size >= min_size that extends ``members``
+    takes at least need + 1 vertices of ``cand``.  Three rules prune it:
+
+    - Before it branches, a node peels ``cand`` to a fixpoint: a candidate
+      with fewer than ``need`` neighbours in ``cand`` lies in no such
+      clique, so it is dropped, and the node is cut once |cand| <= need.
+    - When need >= 2, a greedy colouring of the peeled ``cand``
+      (``_colourable``) cuts the node if it uses at most ``need`` colours:
+      a clique takes at most one vertex per colour class (the bound of
+      Tomita-Seki's MCQ).  At need == 1 the pass is skipped because it
+      cannot cut: after the peel every candidate has a neighbour in
+      ``cand``, so one colour never suffices.
+    - The pivot is the vertex of cand | done with the most neighbours in
+      ``cand`` (Tomita-Tanaka-Takahashi); the same scoring pass drops every
+      ``done`` vertex with at most ``need`` neighbours in ``cand``, which is
+      adjacent to all of no such clique.
 
     ``budget`` caps the number of search nodes, which are the nodes of the
-    peeled tree; exhausting it sets the truncated flag on the (partial)
-    result instead of discarding it.  Every listed clique is maximal and of
-    size >= min_size either way.
+    peeled, colour-cut tree; exhausting it sets the truncated flag on the
+    (partial) result instead of discarding it.  Every listed clique is
+    maximal and of size >= min_size either way.
     """
     if graph.n > 512:
         raise ValueError(f"enumeration capped at n <= 512, got n={graph.n}")
@@ -81,6 +94,8 @@ def maximal_cliques(graph: Graph, min_size: int = 1, budget: int = DEFAULT_BUDGE
         if need > 0:
             cand = _peel(cand, need, nbr)
             if not cand:
+                return
+            if need >= 2 and _colourable(cand, need, nbr):
                 return
         pivot, best = -1, -1
         pool = cand | done
@@ -134,6 +149,24 @@ def _peel(cand: int, need: int, nbr: list[int]) -> int:
         verts = keep
 
 
+def _colourable(cand: int, colours: int, nbr: list[int]) -> bool:
+    """Whether greedy colouring colours ``cand`` with at most ``colours``
+    classes.  Each class takes the top vertex left and strips it and its
+    neighbours from the class, so it is an independent set, and a clique in
+    ``cand`` has at most as many vertices as there are classes."""
+    rest = cand
+    for _ in range(colours):
+        cls = rest
+        while cls:
+            top = cls.bit_length() - 1
+            rest ^= 1 << top
+            cls &= ~nbr[top]
+            cls ^= 1 << top
+        if not rest:
+            return True
+    return False
+
+
 def intersection_threshold(n: int) -> int:
     """Largest allowed overlap between good cliques: floor(3 log2 n)."""
     if n < 1:
@@ -185,6 +218,7 @@ def recover(graph: Graph, v: int, s: int, budget: int = DEFAULT_BUDGET) -> Recov
     return RecoveryResult(
         vertices=vertices,
         good_clique_count=len(good.cliques),
+        budget_used=enum.budget_used,
         truncated=enum.truncated,
     )
 

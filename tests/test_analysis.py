@@ -3,6 +3,9 @@ hypergeometric expectations, and the Jaccard experiments."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -190,6 +193,12 @@ class TestColumnLawLines:
                     assert law.counts[j] == sum(
                         1 for p in state.prior_points if bowtie(p, c, m, k)
                     )
+
+    def test_composite_m_rejected(self):
+        """The line design needs m prime: at m = 34 the enumerated singleton
+        rate is 65/1122, not the theorem's 66/1122."""
+        with pytest.raises(ValueError, match="prime m, got 34"):
+            random_prefix_state(np.random.default_rng(0), "lines", 34, 3, 1, 0)
 
     def test_exhausted_prefix_rejected(self):
         m = 7
@@ -628,3 +637,14 @@ class TestJaccardExperiments:
             "coupled", "oracle-line", 8, 1, n=30, m=11, k=2, threads=2
         )
         assert serial.values == parallel.values
+
+    def test_import_loads_no_process_pool(self):
+        """Only ``threads > 1`` needs multiprocessing, so importing the
+        package does not pay for it."""
+        code = "import sys, pcsemi; print('multiprocessing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

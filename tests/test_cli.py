@@ -370,6 +370,14 @@ class TestBadInput:
         assert_usage_error(code, err, f"need 0 <= n <= 7, got n={n}")
         assert out == ""
 
+    def test_bounds_line_mode_composite_m(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--mode", "lines", "--m", "34", "--k", "3",
+            "--n", "40", "--s", "1", "--trials", "2",
+        )
+        assert_usage_error(code, err, "prime m, got 34")
+        assert out == ""
+
     def test_unknown_model_flag(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--model", "bogus", "--out", str(tmp_path / "x"))
         assert_usage_error(code, err, "'model'")

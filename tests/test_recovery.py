@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pcsemi.graph_model import AdversarySpec, Graph, gen_coupled, gen_semirandom, stream
 from pcsemi.recovery import (
+    _colourable,
     degree_refine,
     good_cliques,
     intersection_threshold,
@@ -145,6 +146,9 @@ class TestMaximalCliques:
             (60, 12, 1, range(1, 13)),
             # small min_size lists ~24k cliques at n = 100; 1 stands for them
             (100, 20, 2, (1, *range(9, 21))),
+            # min sizes 12..20 leave need >= 2 at the top levels of the
+            # search, where the colouring cut fires
+            (100, 20, 3, (1, *range(12, 21))),
         ],
     )
     def test_pruned_enumeration_matches_networkx(self, n, s, seed, min_sizes):
@@ -183,12 +187,44 @@ class TestMaximalCliques:
     def test_peeling_keeps_recovery_search_small(self):
         """A recovery-n200 benchmark instance (n = 200, s = 30, two decoy
         cliques, seed 1): 49,527 nodes without the degree peel, 2,688 with
-        it."""
+        it, and about 389 with the colouring cut after it."""
         g = gen_semirandom(200, 30, AdversarySpec.extra_cliques(2), 1).graph
         first = maximal_cliques(g, min_size=30)
         assert not first.truncated
-        assert first.budget_used < 10_000
+        assert first.budget_used < 1_000
         assert maximal_cliques(g, min_size=30).budget_used == first.budget_used
+
+    def test_colouring_bounds_the_clique_number(self):
+        """Whenever greedy colouring of a vertex subset uses at most c
+        colours, no clique inside the subset has more than c vertices
+        (brute force over every subset of the subset)."""
+        rng = np.random.default_rng(29)
+        tight = 0
+        for trial in range(60):
+            n = int(rng.integers(3, 13))
+            adj = np.zeros((n, n), dtype=bool)
+            iu = np.triu_indices(n, 1)
+            adj[iu] = rng.random(len(iu[0])) < rng.uniform(0.2, 0.9)
+            nbr = Graph(n=n, adj=adj | adj.T).neighbor_masks()
+            cand = int(rng.integers(1, 1 << n))
+            omega = max(
+                sub.bit_count()
+                for sub in range(1 << n)
+                if sub & ~cand == 0
+                and all(sub & ~(nbr[v] | 1 << v) == 0 for v in range(n) if sub >> v & 1)
+            )
+            assert _colourable(cand, cand.bit_count(), nbr)
+            for colours in range(1, cand.bit_count() + 1):
+                if _colourable(cand, colours, nbr):
+                    assert omega <= colours
+                    tight += omega == colours
+        assert tight > 0
+
+    def test_recovery_reports_search_nodes(self):
+        g = gen_semirandom(60, 12, AdversarySpec.extra_cliques(2), 3).graph
+        res = recover(g, 0, 12)
+        assert res.budget_used == maximal_cliques(g, min_size=12).budget_used
+        assert not res.truncated
 
     def test_no_listed_clique_contains_another(self):
         g = gen_semirandom(40, 6, AdversarySpec.random(0.5), 3).graph
