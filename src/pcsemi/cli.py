@@ -57,7 +57,14 @@ from .perturbed_bernoulli import (
     kl_exact,
     random_spec,
 )
-from .recovery import DEFAULT_BUDGET, jaccard, recover, union_bound_probability
+from .recovery import (
+    DEFAULT_BUDGET,
+    good_cliques,
+    jaccard,
+    maximal_cliques,
+    recover,
+    union_bound_probability,
+)
 
 ENV_SEED = "PCSEMI_SEED"
 
@@ -251,12 +258,14 @@ def cmd_recover(p: dict) -> tuple[int, list[Path]]:
     if s is None:
         raise ValueError("instance has no clique size; pass --s")
     result = recover(loaded.graph, v, s, budget=p["budget"])
+    # good_clique_count counts over the whole graph, which recover does not list
+    listed = maximal_cliques(loaded.graph, min_size=s, budget=p["budget"])
     payload = {
         "recovered": sorted(result.vertices),
         "jaccard": (
             jaccard(result.vertices, loaded.clique) if loaded.clique else None
         ),
-        "good_clique_count": result.good_clique_count,
+        "good_clique_count": len(good_cliques(listed, s, loaded.graph.n).cliques),
         "truncated": result.truncated,
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -44,10 +44,41 @@ def _path_digest(seed: int, path: tuple, size: int) -> bytes:
     return hashlib.blake2b(text.encode(), digest_size=size).digest()
 
 
+@lru_cache(maxsize=1)
+def _zero_seed():
+    """A seed sequence of zeros, so that building a Philox draws no OS
+    entropy; ``stream`` overwrites the state it seeds at once.  Built on
+    first use: the base class lives in ``numpy.random``, which importing
+    pcsemi does not load."""
+
+    class ZeroSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return ZeroSeed()
+
+
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
 def stream(seed: int, *path) -> np.random.Generator:
-    """Independent, reproducible substream keyed by (seed, path)."""
+    """Independent, reproducible substream keyed by (seed, path).
+
+    The same generator as ``Generator(Philox(key=key))``: the keyed state
+    is set directly (counter 0, empty buffer), because ``Philox(key=...)``
+    first draws OS entropy for a seed sequence it never uses.
+    """
     key = np.frombuffer(_path_digest(seed, path, 16), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    bits = np.random.Philox(_zero_seed())
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": key},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bits)
 
 
 def stream_seed(seed: int, *path) -> int:

@@ -6,6 +6,15 @@ guarantee.
 A clique of size >= s is *good* when its intersection with every other
 listed clique of size >= s stays within floor(3 log2 n).  Recovery outputs
 the unique good clique containing the revealed vertex, or the empty set.
+
+``recover`` applies this rule without listing every clique of size >= s.
+Only a clique larger than the threshold can overlap another by more than
+the threshold, so one search lists the maximal cliques of size >=
+max(s, floor(3 log2 n) + 1), and a second, rooted at the revealed vertex,
+lists the candidates: the maximal cliques of size >= s that hold it.  A
+candidate is good unless a different clique of the first list overlaps it
+by more than the threshold.  ``maximal_cliques`` and ``good_cliques``
+remain the whole-graph reference for the rule.
 """
 
 from __future__ import annotations
@@ -33,18 +42,24 @@ class CliqueSet:
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """The recovered set, the number of good cliques, and the enumeration
-    effort: ``budget_used`` search nodes, ``truncated`` once the budget ran
-    out."""
+    """The recovered set and the enumeration effort: ``budget_used`` search
+    nodes, ``truncated`` once the budget ran out."""
 
     vertices: frozenset[int]
-    good_clique_count: int
     budget_used: int
     truncated: bool
 
 
-def maximal_cliques(graph: Graph, min_size: int = 1, budget: int = DEFAULT_BUDGET) -> CliqueSet:
-    """All maximal cliques of size >= min_size by pivoting branch and bound.
+def maximal_cliques(
+    graph: Graph, min_size: int = 1, budget: int = DEFAULT_BUDGET, containing: int | None = None
+) -> CliqueSet:
+    """All maximal cliques of size >= min_size by pivoting branch and bound;
+    with ``containing`` = v, only those that hold v.
+
+    The search for v starts at members = [v], cand = N(v), done = {}: a
+    clique holding v lies in N[v], and it is maximal in G exactly when no
+    vertex of N(v) extends it, so this root lists the maximal cliques of G
+    through v (the single-vertex subproblem of Eppstein-Loffler-Strash).
 
     Each search node extends ``members`` by candidates ``cand``, with
     ``done`` the vertices already branched on.  Let need = min_size -
@@ -74,6 +89,8 @@ def maximal_cliques(graph: Graph, min_size: int = 1, budget: int = DEFAULT_BUDGE
         raise ValueError(f"enumeration capped at n <= 512, got n={graph.n}")
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if containing is not None and not 0 <= containing < graph.n:
+        raise ValueError(f"vertex {containing} outside [0, {graph.n})")
     min_size = max(min_size, 1)
     nbr = graph.neighbor_masks()
     found: list[frozenset[int]] = []
@@ -118,7 +135,10 @@ def maximal_cliques(graph: Graph, min_size: int = 1, budget: int = DEFAULT_BUDGE
             cand ^= bit
             done |= bit
 
-    expand([], (1 << graph.n) - 1, 0)
+    if containing is None:
+        expand([], (1 << graph.n) - 1, 0)
+    else:
+        expand([containing], nbr[containing], 0)
     ordered = tuple(sorted(found, key=lambda c: tuple(sorted(c))))
     return CliqueSet(
         cliques=ordered,
@@ -206,20 +226,41 @@ def good_cliques(cliques: CliqueSet, s: int, n: int) -> CliqueSet:
 
 
 def recover(graph: Graph, v: int, s: int, budget: int = DEFAULT_BUDGET) -> RecoveryResult:
-    """Output the unique good clique containing v, else the empty set."""
+    """Output the unique good clique containing v, else the empty set.
+
+    Two searches answer this exactly, without listing every clique of size
+    >= s.  A listed clique D spoils a candidate C only if |C & D| > thr =
+    floor(3 log2 n), which needs |D| > thr; so the spoilers all lie in
+    ``big``, the maximal cliques of size >= max(s, thr + 1).  The candidates
+    are the maximal cliques of size >= s through v, listed by a search
+    rooted at v.  When s > thr every candidate is in ``big`` already and
+    the second search does not run.
+
+    One ``budget`` covers both searches, and ``budget_used`` counts the
+    nodes of both.  If the first search leaves no node for the second, the
+    call is truncated with ``budget_used`` = budget + 1, as a truncated
+    ``maximal_cliques`` reports.
+    """
     if not 0 <= v < graph.n:
         raise ValueError(f"vertex {v} outside [0, {graph.n})")
     if s < 1:
         raise ValueError(f"need clique size s >= 1, got s={s}")
-    enum = maximal_cliques(graph, min_size=s, budget=budget)
-    good = good_cliques(enum, s, graph.n)
-    holding = [c for c in good.cliques if v in c]
-    vertices = holding[0] if len(holding) == 1 else frozenset()
+    thr = intersection_threshold(graph.n)
+    big = maximal_cliques(graph, min_size=max(s, thr + 1), budget=budget)
+    used, truncated = big.budget_used, big.truncated
+    if s > thr:
+        near = [c for c in big.cliques if v in c]
+    elif used < budget:
+        local = maximal_cliques(graph, min_size=s, budget=budget - used, containing=v)
+        near = local.cliques
+        used, truncated = used + local.budget_used, local.truncated
+    else:
+        near, used, truncated = (), budget + 1, True
+    good = [c for c in near if not any(d != c and len(c & d) > thr for d in big.cliques)]
     return RecoveryResult(
-        vertices=vertices,
-        good_clique_count=len(good.cliques),
-        budget_used=enum.budget_used,
-        truncated=enum.truncated,
+        vertices=good[0] if len(good) == 1 else frozenset(),
+        budget_used=used,
+        truncated=truncated,
     )
 
 

@@ -2,8 +2,12 @@
 instance file format."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +33,7 @@ from pcsemi.graph_model import (
     instance_record,
     instance_to_json,
     line_rate,
+    stream,
 )
 
 
@@ -83,6 +88,45 @@ class TestGraphType:
         for bad in [(-1, 2), (0, 4), (4, 5)]:
             with pytest.raises(ValueError, match="outside vertices"):
                 Graph.from_edges(4, [(0, 1), bad])
+
+
+class TestStream:
+    @pytest.mark.parametrize(
+        "seed, path",
+        [(0, ()), (1, ("trial", 0, 3)), (7101, ("coupled", "vertex", 49)), (2**40, ("swap",))],
+    )
+    def test_same_draws_as_keyed_philox(self, seed, path):
+        """``stream`` skips the entropy draw of ``Philox(key=...)`` but
+        gives the generator that keyed construction gives."""
+        text = "/".join([str(seed), *map(str, path)])
+        key = np.frombuffer(hashlib.blake2b(text.encode(), digest_size=16).digest(), dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        got = stream(seed, *path)
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        assert np.array_equal(got.random(7), want.random(7))
+        assert np.array_equal(got.integers(0, 1000, 9), want.integers(0, 1000, 9))
+        assert np.array_equal(got.permutation(20), want.permutation(20))
+        assert got.bit_generator.state["state"]["counter"].tolist() == (
+            want.bit_generator.state["state"]["counter"].tolist()
+        )
+
+    def test_draws_leave_later_streams_fresh(self):
+        a = stream(3, "x")
+        first = a.random(5)
+        a.random(100)
+        assert np.array_equal(stream(3, "x").random(5), first)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        """The keyless seed is built on first use, so importing the package
+        does not load ``numpy.random`` (workloads that never draw would pay
+        its import time and memory)."""
+        code = "import sys, pcsemi; print('numpy.random' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestDesignRelation:

@@ -221,10 +221,61 @@ class TestMaximalCliques:
         assert tight > 0
 
     def test_recovery_reports_search_nodes(self):
+        """``budget_used`` counts both searches: the cliques above the
+        overlap threshold (17 at n = 60) and the size-12 ones through v."""
         g = gen_semirandom(60, 12, AdversarySpec.extra_cliques(2), 3).graph
         res = recover(g, 0, 12)
-        assert res.budget_used == maximal_cliques(g, min_size=12).budget_used
+        big = maximal_cliques(g, min_size=18)
+        near = maximal_cliques(g, min_size=12, containing=0)
+        assert res.budget_used == big.budget_used + near.budget_used
         assert not res.truncated
+
+    def test_recovery_with_small_budgets_is_truncated(self):
+        """Every budget short of the two searches' nodes truncates, the one
+        that the first search uses up exactly included; the output is then
+        empty or a clique of size >= s through v."""
+        for n, s, seed, v in ((60, 12, 3, 0), (60, 20, 4, 5)):
+            inst = gen_semirandom(n, s, AdversarySpec.extra_cliques(2), seed)
+            g = inst.graph
+            full = recover(g, v, s)
+            assert not full.truncated
+            first = maximal_cliques(g, min_size=max(s, intersection_threshold(n) + 1)).budget_used
+            for budget in sorted({1, 2, 5, first - 1, first, first + 1, full.budget_used - 1}):
+                if not 1 <= budget < full.budget_used:
+                    continue
+                res = recover(g, v, s, budget=budget)
+                assert res.truncated
+                assert res.budget_used == budget + 1
+                if res.vertices:
+                    assert v in res.vertices and len(res.vertices) >= s
+                    assert is_clique(g, res.vertices)
+            assert recover(g, v, s, budget=full.budget_used) == full
+
+    def test_containing_matches_whole_graph_listing(self):
+        """The search rooted at v lists exactly the maximal cliques through
+        v, by our whole-graph listing and by networkx."""
+        rng = np.random.default_rng(41)
+        for trial in range(12):
+            n = int(rng.integers(5, 36))
+            adj = np.zeros((n, n), dtype=bool)
+            iu = np.triu_indices(n, 1)
+            adj[iu] = rng.random(len(iu[0])) < rng.uniform(0.2, 0.8)
+            g = Graph(n=n, adj=adj | adj.T)
+            reference = self.networkx_cliques(g, 1)
+            for min_size in (1, 3, 5):
+                every = maximal_cliques(g, min_size=min_size).cliques
+                for v in range(n):
+                    got = maximal_cliques(g, min_size=min_size, containing=v)
+                    assert not got.truncated
+                    assert got.cliques == tuple(c for c in every if v in c)
+                    assert set(got.cliques) == {
+                        c for c in reference if v in c and len(c) >= min_size
+                    }
+
+    @pytest.mark.parametrize("v", [-1, 6, 100])
+    def test_containing_must_be_a_vertex(self, v):
+        with pytest.raises(ValueError, match="outside"):
+            maximal_cliques(complete_graph(6), containing=v)
 
     def test_no_listed_clique_contains_another(self):
         g = gen_semirandom(40, 6, AdversarySpec.random(0.5), 3).graph
@@ -279,7 +330,7 @@ class TestRecover:
         g, groups = two_cliques([6, 6], n=14)
         res = recover(g, 0, 6)
         assert sorted(res.vertices) == groups[0]
-        assert res.good_clique_count == 2
+        assert len(good_cliques(maximal_cliques(g, 6), 6, g.n).cliques) == 2
         assert not res.truncated
 
     @pytest.mark.parametrize("s", [0, -3])
@@ -311,7 +362,7 @@ class TestRecover:
         g = Graph.from_edges(9, edges)
         res = recover(g, shared, 5)
         assert res.vertices == frozenset()
-        assert res.good_clique_count == 2
+        assert len(good_cliques(maximal_cliques(g, 5), 5, g.n).cliques) == 2
 
     def test_vertex_in_no_large_clique_gives_empty(self):
         g, groups = two_cliques([6, 6], n=14)
@@ -326,6 +377,46 @@ class TestRecover:
                 assert inst.revealed in res.vertices
                 assert len(res.vertices) >= 10
                 assert is_clique(inst.graph, res.vertices)
+
+    @staticmethod
+    def reference_rule(graph, v, s):
+        """The rule on the whole-graph listing of cliques of size >= s."""
+        good = good_cliques(maximal_cliques(graph, min_size=s), s, graph.n)
+        holding = [c for c in good.cliques if v in c]
+        return holding[0] if len(holding) == 1 else frozenset()
+
+    def test_matches_reference_rule_on_overlapping_cliques(self):
+        """1-3 planted cliques of size thr - 3 .. thr + 7 that share up to
+        all but one vertex, with or without v, so that a candidate through
+        v is often spoiled by a clique above the threshold."""
+        rng = np.random.default_rng(43)
+        spoiled = 0
+        for trial in range(40):
+            n = int(rng.integers(40, 56))
+            thr = intersection_threshold(n)
+            size = int(rng.integers(thr - 3, thr + 8))
+            order = rng.permutation(n)
+            first = order[:size]
+            groups = [first]
+            for _ in range(int(rng.integers(0, 3))):
+                keep = int(rng.integers(size // 2, size))
+                # the shared part holds v = first[0] or leaves it out
+                shared = first[:keep] if rng.random() < 0.5 else first[size - keep :]
+                groups.append(np.concatenate([shared, order[size : 2 * size - keep]]))
+            adj = np.triu(rng.random((n, n)) < 0.5, 1)
+            for group in groups:
+                adj[np.ix_(group, group)] = True
+            adj = np.triu(adj, 1)
+            g = Graph(n=n, adj=adj | adj.T)
+            v = int(first[0])
+            s = int(rng.integers(size - 3, size + 1))
+            res = recover(g, v, s)
+            assert not res.truncated
+            assert res.vertices == self.reference_rule(g, v, s)
+            near = maximal_cliques(g, min_size=s, containing=v).cliques
+            big = maximal_cliques(g, min_size=max(s, thr + 1)).cliques
+            spoiled += any(d != c and len(c & d) > thr for c in near for d in big)
+        assert spoiled > 0
 
     def test_good_clique_count_bound(self):
         """When s >= 3 sqrt(n log2 n), fewer than 2n/s good cliques."""
