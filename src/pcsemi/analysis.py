@@ -374,13 +374,14 @@ def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray
     return _or_coins(vec, q)
 
 
-def _column_likelihoods(state: AssignmentState) -> dict[tuple[int, int], np.ndarray]:
-    """Per unused candidate point, the likelihood of every possible clique
-    column: fair coins of rate q except on the coordinates the point forces."""
+def _column_likelihoods(state: AssignmentState) -> np.ndarray:
+    """Row i: the likelihood of every possible clique column for unused
+    candidate i, in ``unused_candidates()`` order: fair coins of rate q
+    except on the coordinates the candidate forces."""
     masks = state.masks[state.free]
     tables = np.zeros((len(masks), 1 << len(state.clique_points)))
     tables[np.arange(len(masks)), masks] = 1.0
-    return dict(zip(state.unused_candidates(), _or_coins(tables, state.q)))
+    return _or_coins(tables, state.q)
 
 
 def exact_coupled_law(
@@ -397,6 +398,13 @@ def exact_coupled_law(
     to a uniform point draw, keeping the law normalized.  ``size_range``
     restricts the clique-size branches; the returned vector then sums to the
     probability of that window (renormalize for the conditioned law).
+
+    For each (slope, s) one joint table of the r = n - s outside vertices'
+    columns and outside-pair edges is built, and every clique vertex set S
+    of size s reads its graphs out of that same table.  This is exact: the
+    enumeration behind the table never sees which vertex labels hold the
+    clique, and S only decides which graph pair each table bit lands on,
+    which ``_extraction_arrays`` places.
     """
     pairs, rank = _pairs(n)
     q = _mode_rate(m, mode, k)
@@ -414,104 +422,89 @@ def exact_coupled_law(
     slopes = [0] if mode == "grid" else list(range(k))
     slope_weight = 1.0 / len(slopes)
 
-    extraction_cache: dict[tuple[int, ...], tuple] = {}
-
     for rstar in slopes:
         line_pts = structure_points((rstar, 0), m)
         off_pts = AssignmentState(mode, m, k, q, (rstar, 0), ()).unused_candidates()
+        rel = related(off_pts, off_pts, mode, m, k).tolist()
         for s in range(0, min(n, m) + 1):
             if not size_lo <= s <= size_hi:
                 continue
             ps = hg_pmf(s, n, m, m * m)
-            if ps == 0.0 or n - s > len(off_pts):
+            r = n - s
+            if ps == 0.0 or r > len(off_pts):
                 continue
-            for S in itertools.combinations(range(n), s):
-                key = S
-                if key not in extraction_cache:
-                    extraction_cache[key] = _extraction_arrays(
-                        graphs, n, S, rank
-                    )
-                c_idx, nn_idx, ss_ok, nn_pairs = extraction_cache[key]
-                r = n - s
-                base = (
-                    slope_weight * ps / comb(n, s) / _falling(m, s) * 0.5 ** (r * s)
+            nn_pairs = list(itertools.combinations(range(r), 2))
+            base = slope_weight * ps / comb(n, s) / _falling(m, s) * 0.5 ** (r * s)
+            joint = np.zeros((1 << (r * s), 1 << len(nn_pairs)))
+            for spts in itertools.permutations(line_pts, s):
+                tables = _column_likelihoods(
+                    AssignmentState(mode, m, k, q, (rstar, 0), spts)
                 )
-                mtot = np.zeros((1 << (r * s), 1 << len(nn_pairs)))
-                for spts in itertools.permutations(line_pts, s):
-                    tables = _column_likelihoods(
-                        AssignmentState(mode, m, k, q, (rstar, 0), spts)
-                    )
-                    _accumulate_tuples(
-                        mtot,
-                        off_pts,
-                        tables,
-                        r,
-                        s,
-                        base,
-                        nn_pairs,
-                        m,
-                        mode,
-                        k,
-                        q,
-                    )
-                vec += np.where(ss_ok, mtot[c_idx, nn_idx], 0.0)
+                _accumulate_tuples(joint, tables, rel, r, nn_pairs, q, base)
+            for S in itertools.combinations(range(n), s):
+                c_idx, nn_idx, ss_ok = _extraction_arrays(graphs, n, S, rank)
+                vec += np.where(ss_ok, joint[c_idx, nn_idx], 0.0)
     return vec
 
 
 def _extraction_arrays(graphs, n, S, rank):
+    """For clique vertex set S, each graph's joint-table cell: the column
+    index ``c_idx`` (bit l * s + j: outside vertex l against clique vertex
+    j), the outside-pair index ``nn_idx``, and ``ss_ok``, whether the graph
+    holds every clique edge."""
     Ss = sorted(S)
     inS = set(S)
     nonS = [u for u in range(n) if u not in inS]
-    s, r = len(Ss), len(nonS)
+    s = len(Ss)
     c_idx = np.zeros(graphs.size, dtype=np.int64)
     for l, i in enumerate(nonS):
         for j, u in enumerate(Ss):
             p = rank[(min(i, u), max(i, u))]
             c_idx += ((graphs >> p) & 1) << (l * s + j)
-    nn_pairs = [(l1, l2) for l1 in range(r) for l2 in range(l1 + 1, r)]
     nn_idx = np.zeros(graphs.size, dtype=np.int64)
-    for bit, (l1, l2) in enumerate(nn_pairs):
-        i, j = nonS[l1], nonS[l2]
-        p = rank[(min(i, j), max(i, j))]
-        nn_idx += ((graphs >> p) & 1) << bit
+    for bit, (i, j) in enumerate(itertools.combinations(nonS, 2)):
+        nn_idx += ((graphs >> rank[(i, j)]) & 1) << bit
     ss_ok = np.ones(graphs.size, dtype=bool)
-    for j1 in range(s):
-        for j2 in range(j1 + 1, s):
-            p = rank[(Ss[j1], Ss[j2])]
-            ss_ok &= ((graphs >> p) & 1) == 1
-    return c_idx, nn_idx, ss_ok, nn_pairs
+    for p in itertools.combinations(Ss, 2):
+        ss_ok &= ((graphs >> rank[p]) & 1) == 1
+    return c_idx, nn_idx, ss_ok
 
 
-def _accumulate_tuples(mtot, off_pts, tables, r, s, base, nn_pairs, m, mode, k, q):
-    """DFS over ordered off-point tuples; adds each tuple's joint
-    (columns, outside-completion) weight into mtot."""
-    csize = 1 << s
+def _accumulate_tuples(joint, tables, rel, r, nn_pairs, q, base):
+    """DFS over ordered tuples of r distinct candidate indices; adds each
+    tuple's joint (columns, outside-completion) weight into ``joint``.
 
-    def completion(points):
-        rel = related(points, points, mode, m, k)
-        f = 0
-        for bit, (l1, l2) in enumerate(nn_pairs):
-            if rel[l1, l2]:
-                f |= 1 << bit
-        g = np.zeros(1 << len(nn_pairs))
-        g[f] = 1.0
-        return _or_coins(g, q)
+    ``tables`` holds candidate i's column likelihoods in row i (see
+    ``_column_likelihoods``), ``rel[i][j]`` whether candidates i and j are
+    related, so that their vertices' edge is forced, ``nn_pairs`` the
+    outside-vertex pairs in completion-bit order, ``q`` the coin rate of an
+    unforced pair, and ``base`` the weight every tuple shares."""
+    ncand, csize = tables.shape
+    coins: dict[int, np.ndarray] = {}  # completion law per forced mask, built once
 
     def dfs(used: list, acc: np.ndarray):
         level = len(used)
         if level == r:
-            mtot[:, :] += (base * acc)[:, None] * completion(used)[None, :]
+            f = 0
+            for bit, (l1, l2) in enumerate(nn_pairs):
+                if rel[used[l1]][used[l2]]:
+                    f |= 1 << bit
+            if f not in coins:
+                g = np.zeros(1 << len(nn_pairs))
+                g[f] = 1.0
+                coins[f] = _or_coins(g, q)
+            joint[:, :] += (base * acc)[:, None] * coins[f][None, :]
             return
-        cands = [p for p in off_pts if p not in used]
+        cands = [i for i in range(ncand) if i not in used]
         norm = np.zeros(csize)
-        for p in cands:
-            norm += tables[p]
+        for i in cands:
+            norm += tables[i]
         fallback = 1.0 / len(cands)
         safe = np.where(norm > 0.0, norm, 1.0)
-        for p in cands:
-            cond = np.where(norm > 0.0, tables[p] / safe, fallback)
+        for i in cands:
+            cond = np.where(norm > 0.0, tables[i] / safe, fallback)
             grown = (cond[:, None] * acc[None, :]).ravel() if level else cond
-            dfs(used + [p], grown)
+            dfs(used + [i], grown)
 
     dfs([], np.ones(1))
 

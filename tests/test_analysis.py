@@ -488,6 +488,17 @@ class TestExactJointLaws:
         with pytest.raises(ValueError, match="need 0 <= n <= 7, got n=9"):
             law(9, 3, "grid")
 
+    @pytest.mark.parametrize(
+        "n,m,mode,k", [(3, 3, "grid", 2), (4, 3, "grid", 2), (3, 5, "lines", 2)]
+    )
+    def test_coupled_law_matches_rational_oracle(self, n, m, mode, k):
+        want = oracle_coupled_law(n, m, mode, k)
+        assert sum(want.values()) == 1
+        got = exact_coupled_law(n, m, mode, k)
+        exact = np.zeros(len(got))
+        exact[list(want)] = [float(w) for w in want.values()]
+        assert np.max(np.abs(got - exact)) <= 1e-13
+
     def test_generator_frequencies_match_enumerated_law(self):
         """The coupled generator's empirical graph distribution agrees with
         the enumerated law conditioned on a nonzero clique size (the
@@ -508,6 +519,91 @@ class TestExactJointLaws:
         for cell in range(8):
             se = math.sqrt(max(law[cell] * (1 - law[cell]), 1e-12) / trials)
             assert abs(counts[cell] / trials - law[cell]) < 4 * se + 1e-9
+
+
+def oracle_coupled_law(n: int, m: int, mode: str, k: int) -> dict[int, Fraction]:
+    """The coupled graph law in exact rationals, by direct enumeration of the
+    generative process with a scalar design relation of its own.
+
+    A slope (grid mode: row 0 only; translations carry any offset to 0),
+    a clique size s ~ HG(n, m, m^2), a clique vertex set S, and an ordered
+    tuple of clique points on the planted line; then, for each outside
+    vertex in index order, a fair column and an unused off-line point drawn
+    with probability proportional to its column likelihood (uniform when
+    every likelihood is 0); outside pairs are forced when their points are
+    related and Ber(q) otherwise.  Keys are graph indices, bit p the p-th
+    pair (i, j), i < j, in lexicographic order."""
+    if mode == "grid":
+        q = Fraction(1, 2) - Fraction(1, 2 * m - 2)
+        slopes = [0]
+
+        def rel(u, w):
+            return u[0] == w[0] or u[1] == w[1]
+    else:
+        q = Fraction(1, 2) - Fraction(k - 1, 2 * (m - k + 1))
+        slopes = list(range(k))
+
+        def rel(u, w):
+            return any((u[0] - t * u[1] - w[0] + t * w[1]) % m == 0 for t in range(k))
+
+    bit = {p: b for b, p in enumerate(itertools.combinations(range(n), 2))}
+    law: Counter = Counter()
+
+    def finish(points, edges, weight, outside):
+        free = []
+        for i, j in itertools.combinations(outside, 2):
+            if rel(points[i], points[j]):
+                edges |= 1 << bit[(i, j)]
+            else:
+                free.append(bit[(i, j)])
+        for coins in itertools.product((0, 1), repeat=len(free)):
+            w = weight
+            g = edges
+            for b, c in zip(free, coins):
+                w *= q if c else 1 - q
+                g |= c << b
+            law[g] += w
+
+    def place(level, S, cpts, off, points, edges, weight, outside):
+        if level == len(outside):
+            finish(points, edges, weight, outside)
+            return
+        v = outside[level]
+        cands = [p for p in off if p not in points.values()]
+        for col in itertools.product((0, 1), repeat=len(S)):
+            like = []
+            for p in cands:
+                w = Fraction(1)
+                for c, cp in zip(col, cpts):
+                    if rel(p, cp):
+                        w *= c
+                    else:
+                        w *= q if c else 1 - q
+                like.append(w)
+            total = sum(like)
+            if total == 0:
+                like, total = [Fraction(1)] * len(cands), len(cands)
+            g = edges
+            for c, u in zip(col, S):
+                g |= c << bit[(min(u, v), max(u, v))]
+            for p, w in zip(cands, like):
+                if w:
+                    step = weight * Fraction(1, 2 ** len(S)) * w / total
+                    place(level + 1, S, cpts, off, {**points, v: p}, g, step, outside)
+
+    for rstar in slopes:
+        line = [((rstar * b) % m, b) for b in range(m)]
+        off = [(a, b) for a in range(m) for b in range(m) if (a, b) not in line]
+        for s in range(min(n, m) + 1):
+            ps = Fraction(comb(m, s) * comb(m * m - m, n - s), comb(m * m, n))
+            for S in itertools.combinations(range(n), s):
+                outside = [v for v in range(n) if v not in S]
+                clique = sum(1 << bit[p] for p in itertools.combinations(S, 2))
+                for cpts in itertools.permutations(line, s):
+                    weight = ps / len(slopes) / comb(n, s) / math.perm(m, s)
+                    points = dict(zip(S, cpts))
+                    place(0, S, cpts, off, points, clique, weight, outside)
+    return law
 
 
 def coin_table(forced: int, bits: int, q: float) -> np.ndarray:
@@ -556,11 +652,11 @@ class TestForcedCoinKernel:
         clique = tuple(structure_points(planted, m)[:s])
         off = AssignmentState(mode, m, k, q, planted, ()).unused_candidates()
         tables = _column_likelihoods(AssignmentState(mode, m, k, q, planted, clique))
-        assert list(tables) == off
-        for p in off:
+        assert len(tables) == len(off)
+        for row, p in zip(tables, off):
             hits = related([p], clique, mode, m, k)[0]
             jmask = sum(1 << j for j in range(s) if hits[j])
-            assert_close(tables[p], coin_table(jmask, s, q), 1e-14)
+            assert_close(row, coin_table(jmask, s, q), 1e-14)
 
 
 class TestHypergeometricExpectation:

@@ -20,6 +20,7 @@ import json
 import numpy as np
 import pytest
 
+from pcsemi.analysis import exact_coupled_law
 from pcsemi.cli import main
 from pcsemi.perturbed_bernoulli import (
     MAX_DIM,
@@ -68,6 +69,7 @@ CASES = {
         "--trials", "2", "--seed", "0",
     ],
     "bounds-grid": ["bounds", "--mode", "grid", "--trials", "10", "--seed", "1"],
+    "verify-chain": ["verify", "chain", "--n", "5", "--m", "3"],
     "verify-column-laws": ["verify", "column-laws", "--trials", "3", "--seed", "2"],
     "verify-local-bounds": ["verify", "local-bounds", "--trials", "2", "--seed", "3"],
     "verify-pb-bound": ["verify", "pb-bound", "--trials", "6", "--seed", "8"],
@@ -91,6 +93,7 @@ DIGESTS = {
     "gen-null-grid": "e6e19b98d849fc39fedf36c36ecc51fba22e3b6a5b3db478b3d1f5eea7cb65c8",
     "gen-null-lines": "18f2a1f57c46893e97edd2854560976d16c2b8a327dc5825059045197bc77f8a",
     "gen-semirandom": "c27c837c7b9e6b25c79119634d440f3cfae1afab363235b7c409d2e3d25f8289",
+    "verify-chain": "01a840d21f53f9afc07dc93e2a1670cfa56727b9934b653c0c89f140ddf3eca3",
     "verify-column-laws": "362aab26717088fd0f3d911a225ef5e2810239e3a6ea5206c9e6fa4321cad36b",
     "verify-local-bounds": "871de28f2f98c95717a9bf1230b6b973f2ccb913c57d47138e51df7fb8001015",
     "verify-pb-bound": "8beaf5a1d1e699e357b9c098b922a8e055f826cd1a43432371a5a6012b4431c1",
@@ -149,7 +152,7 @@ EARLIER_MANIFESTS = {
             "params": {"csv": "c.csv", "l0": None, "m": None, "n": None, "s": None,
                        "seed": 0, "suite": "chain", "trials": 50},
         },
-        "01a840d21f53f9afc07dc93e2a1670cfa56727b9934b653c0c89f140ddf3eca3",
+        DIGESTS["verify-chain"],
     ),
     "experiment-coupled-lower": (
         {
@@ -169,6 +172,16 @@ def test_earlier_manifest_replays(name, tmp_path, capsys):
     path = tmp_path / "earlier.manifest.json"
     path.write_text(json.dumps(manifest))
     assert replay_digest(manifest["subcommand"], path, tmp_path) == digest
+
+
+def test_exact_coupled_law_lines_digest():
+    """The command-line cases reach the exact laws in grid mode only
+    (``verify chain``), so the bytes of one line-mode coupled law are pinned
+    here."""
+    law = exact_coupled_law(3, 5, "lines", 2)
+    assert hashlib.sha256(law.tobytes()).hexdigest() == (
+        "4a2ae9387630163321c5831dcc21f2ce7d20ffe92d142bacef5bdfb50864e3c8"
+    )
 
 
 def large_digest(s: int) -> str:
