@@ -28,9 +28,7 @@ from .graph_model import (
     gen_classical,
     gen_coupled,
     gen_semirandom,
-    grid_rate,
-    is_prime,
-    line_rate,
+    mode_rate,
     related,
     stream,
     stream_seed,
@@ -57,14 +55,13 @@ class ColumnLaw:
     """Exact law of the clique column for the next vertex, with the integer
     ingredients needed for rational identity checks.
 
-    ``pi`` holds the per-coordinate singleton superset rates; ``counts`` the
-    prior occupancy against each coordinate; ``sigma_counts`` the exact
-    integer numerators of the subset masses over ``denominator``.
+    ``pi`` holds the per-coordinate singleton superset rates;
+    ``sigma_counts`` the exact integer numerators of the subset masses over
+    ``denominator``.
     """
 
     spec: PBSpec
     pi: tuple[float, ...]
-    counts: tuple[int, ...]
     denominator: int
     sigma_counts: dict[int, int]
 
@@ -90,7 +87,6 @@ def column_law(state: AssignmentState) -> ColumnLaw:
     return ColumnLaw(
         spec=spec,
         pi=tuple(c / denom for c in hits.tolist()),
-        counts=tuple(state.prior_hits.tolist()),
         denominator=denom,
         sigma_counts=sigma_counts,
     )
@@ -105,7 +101,7 @@ def random_prefix_state(
 ) -> AssignmentState:
     """Random planted structure plus d uniformly drawn prior points, i.e. a
     null-law prefix of length d."""
-    q = _mode_rate(m, mode, k)
+    q = mode_rate(mode, m, k)
     if mode == "grid":
         planted = (0, 0)
         k = 2
@@ -310,6 +306,8 @@ def chained_kl_bound(
 
 
 _MAX_ASSIGNMENTS = 4_000_000
+# table cells the exact coupled law adds up, about a minute of numpy work
+_MAX_TABLE_CELLS = 1 << 34
 _MAX_GRAPH_N = 7  # a graph law is a table of 2^C(n,2) floats, 2^21 at n = 7
 
 
@@ -339,21 +337,11 @@ def _pairs(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
     return pairs, {p: r for r, p in enumerate(pairs)}
 
 
-def _mode_rate(m: int, mode: str, k: int) -> float:
-    if mode == "grid":
-        return grid_rate(m)
-    if mode == "lines":
-        if not is_prime(m):
-            raise ValueError(f"line mode needs prime m, got {m}")
-        return line_rate(m, k)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray:
     """Exact null graph law over all 2^C(n,2) graphs, by summing over every
     ordered distinct point assignment."""
     pairs, _ = _pairs(n)
-    q = _mode_rate(m, mode, k)
+    q = mode_rate(mode, m, k)
     if n > m * m:
         raise ValueError(f"need n <= m^2, got n={n}, m={m}")
     total = _falling(m * m, n)
@@ -407,32 +395,38 @@ def exact_coupled_law(
     which ``_extraction_arrays`` places.
     """
     pairs, rank = _pairs(n)
-    q = _mode_rate(m, mode, k)
+    q = mode_rate(mode, m, k)
     if n > m * m:
         raise ValueError(f"need n <= m^2, got n={n}, m={m}")
-    if _falling(m * m - m, n) > _MAX_ASSIGNMENTS:
-        raise ValueError("state space too large")
-    npairs = len(pairs)
-    graphs = np.arange(1 << npairs, dtype=np.int64)
-    vec = np.zeros(1 << npairs)
     size_lo, size_hi = size_range if size_range is not None else (0, n)
-
     # translations take any planted offset to 0 while preserving the slope
     # relation, so only the slope of the planted line needs enumerating
     slopes = [0] if mode == "grid" else list(range(k))
     slope_weight = 1.0 / len(slopes)
 
+    # the work, counted before any of it starts: per (slope, s), every
+    # ordered clique point tuple and ordered tuple of the r = n - s outside
+    # vertices' candidates is one leaf, and each leaf adds a
+    # 2^(r s) x 2^C(r,2) table
+    off = m * m - m
+    sizes = [s for s in range(max(size_lo, 0), min(n, m, size_hi) + 1) if n - s <= off]
+    leaves = [len(slopes) * _falling(m, s) * _falling(off, n - s) for s in sizes]
+    cells = sum(t << ((n - s) * s + comb(n - s, 2)) for s, t in zip(sizes, leaves))
+    if sum(leaves) > _MAX_ASSIGNMENTS or cells > _MAX_TABLE_CELLS:
+        raise ValueError(
+            f"state space too large: {sum(leaves)} point tuples adding {cells} table cells"
+        )
+    npairs = len(pairs)
+    graphs = np.arange(1 << npairs, dtype=np.int64)
+    vec = np.zeros(1 << npairs)
+
     for rstar in slopes:
         line_pts = structure_points((rstar, 0), m)
         off_pts = AssignmentState(mode, m, k, q, (rstar, 0), ()).unused_candidates()
         rel = related(off_pts, off_pts, mode, m, k).tolist()
-        for s in range(0, min(n, m) + 1):
-            if not size_lo <= s <= size_hi:
-                continue
+        for s in sizes:
             ps = hg_pmf(s, n, m, m * m)
             r = n - s
-            if ps == 0.0 or r > len(off_pts):
-                continue
             nn_pairs = list(itertools.combinations(range(r), 2))
             base = slope_weight * ps / comb(n, s) / _falling(m, s) * 0.5 ** (r * s)
             joint = np.zeros((1 << (r * s), 1 << len(nn_pairs)))
@@ -526,7 +520,7 @@ def exact_joint_kl(n: int, m: int, mode: str = "grid", k: int = 2) -> float:
 def exact_chain_rhs(n: int, m: int, mode: str = "grid", k: int = 2) -> float:
     """Exhaustive chained bound: E_s sum_i E_prefix[column KL], with the
     prefix expectation enumerated exactly."""
-    q = _mode_rate(m, mode, k)
+    q = mode_rate(mode, m, k)
     total = 0.0
     for s in range(1, min(n, m) + 1):
         ps = hg_pmf(s, n, m, m * m)

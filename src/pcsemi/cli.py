@@ -46,7 +46,6 @@ from .graph_model import (
     gen_null_lines,
     gen_semirandom,
     instance_from_json,
-    instance_record,
     instance_to_json,
     stream,
 )
@@ -180,7 +179,7 @@ def _fill_unset(params: dict, defaults: dict) -> None:
 # gen
 # ---------------------------------------------------------------------------
 
-# model -> (required parameters, builder); a null model builds (graph, grid)
+# model -> (required parameters, instance builder)
 _GEN_MODELS = {
     "classical": (("n", "s"), lambda p: gen_classical(p["n"], p["s"], p["seed"])),
     "semirandom": (
@@ -216,16 +215,10 @@ def cmd_gen(p: dict) -> tuple[int, list[Path]]:
     if missing:
         flags = ", ".join(f"--{key}" for key in missing)
         raise ValueError(f"model {model} requires {flags}")
-    built = build(p)
-    if isinstance(built, tuple):
-        graph, grid = built
-        params = {key: p[key] for key in required}
-        record = instance_record(graph, model, params, p["seed"], grid=grid)
-    else:
-        record = instance_to_json(built)
+    text = dump_instance(instance_to_json(build(p)))
     out = Path(p["out"])
     with _open_output(out) as fh:
-        fh.write(dump_instance(record))
+        fh.write(text)
     print(f"{out} sha256:{_sha256(out)}")
     return 0, [out]
 

@@ -14,9 +14,13 @@ coins.
 Coupled generation and the column laws work on grid indices: ``_label_table``
 caches, per (mode, m, k), the m^2 grid points in (a, b) order and their
 labels, and an ``AssignmentState`` derives from it, once per lineage, the
-forced table of every grid point against its clique and a mask of the free
+bit mask of clique coordinates each grid point forces and a mask of the free
 (off-structure, unassigned) points, which ``with_point`` updates in place
 of a rebuild.
+
+Every instance, generated or loaded, is one ``PlantedInstance``: the null
+models carry an empty clique and no revealed vertex, and ``instance_to_json``
+/ ``instance_from_json`` are the one file format.
 
 Randomness: every generator derives named substreams from (seed, path) via a
 counter-based Philox generator keyed by a blake2b hash, so identical seeds
@@ -111,6 +115,19 @@ def line_rate(m: int, k: int) -> float:
             f"line mode needs 1 <= k and k - 1 < m - k + 1 (q > 0), got m={m}, k={k}"
         )
     return 0.5 - (k - 1) / (2.0 * (m - k + 1))
+
+
+def mode_rate(mode: str, m: int, k: int) -> float:
+    """Coin rate q of a design: ``grid_rate(m)`` in grid mode, and
+    ``line_rate(m, k)`` in line mode, whose design needs m prime."""
+    if mode == "grid":
+        return grid_rate(m)
+    if mode == "lines":
+        q = line_rate(m, k)
+        if not is_prime(m):
+            raise ValueError(f"line mode needs prime m, got {m}")
+        return q
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def bowtie(p: Point, r: Point, m: int, k: int) -> bool:
@@ -226,43 +243,47 @@ class Graph:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Latent grid assignment behind a null or coupled instance."""
+    """Latent grid assignment behind a null or coupled instance; its design
+    must have a coin rate (``mode_rate``)."""
 
     mode: str  # "grid" | "lines"
     m: int
     k: int
     points: tuple[Point, ...]
     planted_line: tuple[int, int] | None
-    q: float
 
     def __post_init__(self):
-        if self.mode not in ("grid", "lines"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        mode_rate(self.mode, self.m, self.k)
         if len(set(self.points)) != len(self.points):
             raise ValueError("grid points must be distinct")
 
 
 @dataclass(frozen=True)
 class PlantedInstance:
-    """A generated graph with its ground-truth clique and revealed vertex."""
+    """A graph with its ground-truth clique and revealed vertex, generated
+    or loaded; a null model has an empty clique and no revealed vertex."""
 
     graph: Graph
     clique: frozenset[int]
-    revealed: int
+    revealed: int | None
     model: str
     params: dict
     seed: int
     grid: GridConfig | None = None
 
     def __post_init__(self):
-        if len(self.clique) < 1:
-            raise ValueError("clique must be nonempty")
-        if self.revealed not in self.clique:
-            raise ValueError("revealed vertex must lie in the clique")
+        n = self.graph.n
+        outside = sorted(v for v in self.clique if not 0 <= v < n)
+        if outside:
+            raise ValueError(f"clique vertices {outside} outside vertices 0..{n - 1}")
+        if self.revealed is not None and self.revealed not in self.clique:
+            raise ValueError(f"revealed vertex {self.revealed} is not in the clique")
         members = sorted(self.clique)
         sub = self.graph.adj[np.ix_(members, members)]
         if not (sub | np.eye(len(members), dtype=bool)).all():
             raise ValueError("clique vertices are not fully connected")
+        if self.grid is not None and len(self.grid.points) != n:
+            raise ValueError(f"need one grid point per vertex, got {len(self.grid.points)} for n={n}")
 
 
 @dataclass(frozen=True)
@@ -416,33 +437,35 @@ def _sample_points(n: int, m: int, seed: int) -> np.ndarray:
     return np.stack(np.divmod(idx, m), axis=1)
 
 
-def _gen_null(
-    n: int, m: int, k: int, seed: int, mode: str, q: float
-) -> tuple[Graph, GridConfig]:
+def _gen_null(n: int, m: int, k: int, seed: int, mode: str, params: dict) -> PlantedInstance:
     """Body shared by the null models: n distinct grid points, their design
-    relation forced, every other pair a Ber(q) coin."""
+    relation forced, every other pair a Ber(q) coin; no clique is planted."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     pts = _sample_points(n, m, seed)
     forced = related(pts, pts, mode, m, k)
-    adj = forced | _sym_coin(n, q, stream(seed, "edges"))
+    adj = forced | _sym_coin(n, mode_rate(mode, m, k), stream(seed, "edges"))
     np.fill_diagonal(adj, False)
-    cfg = GridConfig(
-        mode=mode,
-        m=m,
-        k=k,
-        points=tuple(map(tuple, pts.tolist())),
-        planted_line=None,
-        q=q,
+    return PlantedInstance(
+        graph=Graph(n=n, adj=adj),
+        clique=frozenset(),
+        revealed=None,
+        model=f"null-{mode}",
+        params=params,
+        seed=seed,
+        grid=GridConfig(
+            mode=mode, m=m, k=k, points=tuple(map(tuple, pts.tolist())), planted_line=None
+        ),
     )
-    return Graph(n=n, adj=adj), cfg
 
 
-def gen_null_grid(n: int, m: int, seed: int) -> tuple[Graph, GridConfig]:
+def gen_null_grid(n: int, m: int, seed: int) -> PlantedInstance:
     """Null model where every vertex lies in one row clique and one column
     clique of an m x m grid; all other edges are Ber(q) coins."""
-    q = grid_rate(m)
+    grid_rate(m)  # names m < 3 before the capacity check does
     if n > m * m - m:
         raise ValueError(f"need n <= m^2 - m = {m * m - m}, got n={n}")
-    return _gen_null(n, m, 2, seed, "grid", q)
+    return _gen_null(n, m, 2, seed, "grid", {"n": n, "m": m})
 
 
 def _check_lines_params(n: int, m: int, k: int) -> None:
@@ -454,11 +477,11 @@ def _check_lines_params(n: int, m: int, k: int) -> None:
         raise ValueError(f"need n <= m(m-1)/2 = {m * (m - 1) // 2}, got n={n}")
 
 
-def gen_null_lines(n: int, m: int, k: int, seed: int) -> tuple[Graph, GridConfig]:
+def gen_null_lines(n: int, m: int, k: int, seed: int) -> PlantedInstance:
     """Null model over the affine lines of slopes 0..k-1 in the prime grid:
     aligned vertices are connected, everything else is a Ber(q) coin."""
     _check_lines_params(n, m, k)
-    return _gen_null(n, m, k, seed, "lines", line_rate(m, k))
+    return _gen_null(n, m, k, seed, "lines", {"n": n, "m": m, "k": k})
 
 
 @dataclass(frozen=True)
@@ -473,18 +496,14 @@ class AssignmentState:
     The constructor also derives, once per lineage, index-native views over
     the m^2 grid points in (a, b) order (row a * m + b of ``_label_table``):
 
-    - ``forced``: bool (m^2, s), whether grid point i shares a design label
-      with clique point j, i.e. forces the edge to clique coordinate j;
-    - ``masks``: int64 (m^2,), the rows of ``forced`` as bit masks (bit j
-      for coordinate j), the subset J of a column law; exact for s < 63,
-      and column laws stop at s = MAX_DIM = 20;
-    - ``free``: bool (m^2,), off the planted structure and not yet assigned;
-    - ``prior_hits``: int64 (s,), prior points forcing each coordinate,
-      counted once per occurrence.
+    - ``masks``: int64 (m^2,), bit j set when grid point i shares a design
+      label with clique point j, i.e. forces the edge to clique coordinate
+      j: the subset J of a column law; exact for s < 63, and column laws
+      stop at s = MAX_DIM = 20;
+    - ``free``: bool (m^2,), off the planted structure and not yet assigned.
 
-    ``with_point`` hands ``forced`` and ``masks`` on by reference and copies
-    only ``free`` and ``prior_hits``, so a chain of d steps builds the
-    clique table once.
+    ``with_point`` hands ``masks`` on by reference and copies only ``free``,
+    so a chain of d steps builds the clique table once.
     """
 
     mode: str
@@ -494,10 +513,8 @@ class AssignmentState:
     planted: tuple[int, int]  # (slope, offset); grid mode plants row `offset`
     clique_points: tuple[Point, ...]
     prior_points: tuple[Point, ...] = ()
-    forced: np.ndarray = field(init=False, compare=False, repr=False)
     masks: np.ndarray = field(init=False, compare=False, repr=False)
     free: np.ndarray = field(init=False, compare=False, repr=False)
-    prior_hits: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.m
@@ -506,15 +523,11 @@ class AssignmentState:
         free = labels[:, r] != h % m
         forced = _share_label(labels, design_labels(self.clique_points, self.mode, m, self.k))
         used = np.asarray(self.prior_points, dtype=np.int64).reshape(-1, 2)
-        used = used[:, 0] * m + used[:, 1]
-        free[used] = False
-        forced.flags.writeable = False
+        free[used[:, 0] * m + used[:, 1]] = False
         masks = forced @ (1 << np.arange(forced.shape[1], dtype=np.int64))
         masks.flags.writeable = False
-        object.__setattr__(self, "forced", forced)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "free", free)
-        object.__setattr__(self, "prior_hits", forced[used].sum(axis=0))
 
     def unused_candidates(self) -> list[Point]:
         """Off-structure points not yet assigned, in (a, b) lexicographic
@@ -523,40 +536,36 @@ class AssignmentState:
         return list(compress(points, self.free.tolist()))
 
     def with_point(self, p: Point) -> "AssignmentState":
-        idx = p[0] * self.m + p[1]
         free = self.free.copy()
-        free[idx] = False
-        # a shallow copy, without the constructor's rebuild of the tables
+        free[p[0] * self.m + p[1]] = False
+        # a shallow copy, without the constructor's rebuild of the table
         child = object.__new__(AssignmentState)
-        child.__dict__.update(
-            self.__dict__,
-            prior_points=self.prior_points + (p,),
-            free=free,
-            prior_hits=self.prior_hits + self.forced[idx],
-        )
+        child.__dict__.update(self.__dict__, prior_points=self.prior_points + (p,), free=free)
         return child
 
 
-def column_weights(state: AssignmentState, column: Sequence[int]) -> tuple[list[Point], np.ndarray]:
+def column_weights(state: AssignmentState, column: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Likelihood of an observed clique column for each unused candidate point.
 
     Weight of point p with forced set J: prod_{j in J} 1[column_j = 1] *
-    prod_{j not in J} q^{column_j} (1-q)^{1-column_j}.
+    prod_{j not in J} q^{column_j} (1-q)^{1-column_j}.  Returns the
+    candidates' grid indices a * m + b, ascending, and their weights.
     """
-    forced = state.forced[state.free]
-    if not len(forced):
+    cands = np.flatnonzero(state.free)
+    if not len(cands):
         raise ValueError("no unused off-structure points remain")
     col = [int(c) for c in column]
     if len(col) != len(state.clique_points):
         raise ValueError("column length does not match the clique size")
     q = state.q
+    forced = (state.masks[cands, None] >> np.arange(len(col))) & 1
     # one coordinate at a time, in j order, so every weight is the same
     # float product as the scalar definition; a forced coordinate
     # contributes 1[column_j = 1]
-    weights = np.ones(len(forced))
+    weights = np.ones(len(cands))
     for j, c in enumerate(col):
         weights *= np.where(forced[:, j], 1.0, q) if c else np.where(forced[:, j], 0.0, 1.0 - q)
-    return state.unused_candidates(), weights
+    return cands, weights
 
 
 def conditional_assignment(
@@ -572,9 +581,11 @@ def conditional_assignment(
     cands, weights = column_weights(state, column)
     total = weights.sum()
     if total <= 0.0:
-        return cands[int(rng.integers(len(cands)))]
-    u = rng.random() * total
-    return cands[min(int(np.searchsorted(np.cumsum(weights), u, side="right")), len(cands) - 1)]
+        pick = int(rng.integers(len(cands)))
+    else:
+        u = rng.random() * total
+        pick = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), len(cands) - 1)
+    return divmod(int(cands[pick]), state.m)
 
 
 def hypergeometric_sample(
@@ -647,14 +658,6 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
     adj[out_mask] = (forced | noise)[out_mask]
     np.fill_diagonal(adj, False)
 
-    cfg = GridConfig(
-        mode="lines",
-        m=m,
-        k=k,
-        points=tuple(pts),
-        planted_line=(rstar, hstar),
-        q=q,
-    )
     return PlantedInstance(
         graph=Graph(n=n, adj=adj),
         clique=frozenset(mlist),
@@ -662,7 +665,9 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
         model="coupled",
         params={"n": n, "m": m, "k": k},
         seed=seed,
-        grid=cfg,
+        grid=GridConfig(
+            mode="lines", m=m, k=k, points=tuple(pts), planted_line=(rstar, hstar)
+        ),
     )
 
 
@@ -671,62 +676,28 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoadedInstance:
-    """Instance file contents; clique may be empty for null models."""
-
-    graph: Graph
-    clique: frozenset[int]
-    revealed: int | None
-    model: str
-    params: dict
-    seed: int
-    grid: GridConfig | None
-
-
-def instance_record(
-    graph: Graph,
-    model: str,
-    params: dict,
-    seed: int,
-    clique: Iterable[int] = (),
-    revealed: int | None = None,
-    grid: GridConfig | None = None,
-) -> dict:
-    members = sorted(int(v) for v in clique)
-    record = {
-        "n": graph.n,
+def instance_to_json(inst: PlantedInstance) -> dict:
+    grid = inst.grid
+    members = sorted(inst.clique)
+    return {
+        "n": inst.graph.n,
         "s": len(members),
-        "model": model,
-        "params": params,
-        "seed": int(seed),
-        "v": None if revealed is None else int(revealed),
+        "model": inst.model,
+        "params": inst.params,
+        "seed": int(inst.seed),
+        "v": None if inst.revealed is None else int(inst.revealed),
         "clique": members,
-        "edges": [[i, j] for i, j in graph.edges()],
-    }
-    if grid is not None:
-        record["grid"] = {
+        "edges": [[i, j] for i, j in inst.graph.edges()],
+        "grid": None
+        if grid is None
+        else {
             "m": grid.m,
             "k": grid.k,
             "r_star": None if grid.planted_line is None else grid.planted_line[0],
             "h_star": None if grid.planted_line is None else grid.planted_line[1],
             "points": [[a, b] for a, b in grid.points],
-        }
-    else:
-        record["grid"] = None
-    return record
-
-
-def instance_to_json(inst: PlantedInstance) -> dict:
-    return instance_record(
-        inst.graph,
-        inst.model,
-        inst.params,
-        inst.seed,
-        clique=inst.clique,
-        revealed=inst.revealed,
-        grid=inst.grid,
-    )
+        },
+    }
 
 
 _GRID_MODE_BY_MODEL = {"null-grid": "grid", "null-lines": "lines", "coupled": "lines"}
@@ -740,37 +711,32 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def instance_from_json(record: dict) -> LoadedInstance:
+def instance_from_json(record: dict) -> PlantedInstance:
+    """The instance an ``instance_to_json`` record describes; the checks of
+    ``PlantedInstance`` and ``GridConfig`` refuse an inconsistent file."""
     n = _integer(record["n"], "n")
     graph = Graph.from_edges(
         n, [(_integer(i, "edge end"), _integer(j, "edge end")) for i, j in record["edges"]]
     )
-    clique = frozenset(_integer(v, "clique vertex") for v in record["clique"])
-    outside = sorted(v for v in clique if not 0 <= v < n)
-    if outside:
-        raise ValueError(f"clique vertices {outside} outside vertices 0..{n - 1}")
     grid = None
     graw = record.get("grid")
     if graw is not None:
-        mode = _GRID_MODE_BY_MODEL.get(record["model"], "lines")
         m, k = _integer(graw["m"], "grid m"), _integer(graw["k"], "grid k")
         planted = None
         if graw.get("r_star") is not None:
             planted = (_integer(graw["r_star"], "r_star"), _integer(graw["h_star"], "h_star"))
-        q = grid_rate(m) if mode == "grid" else line_rate(m, k)
         grid = GridConfig(
-            mode=mode,
+            mode=_GRID_MODE_BY_MODEL.get(record["model"], "lines"),
             m=m,
             k=k,
             points=tuple(
                 (_integer(a, "grid point"), _integer(b, "grid point")) for a, b in graw["points"]
             ),
             planted_line=planted,
-            q=q,
         )
-    return LoadedInstance(
+    return PlantedInstance(
         graph=graph,
-        clique=clique,
+        clique=frozenset(_integer(v, "clique vertex") for v in record["clique"]),
         revealed=None if record.get("v") is None else _integer(record["v"], "v"),
         model=record["model"],
         params=record.get("params", {}),

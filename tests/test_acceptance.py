@@ -311,7 +311,8 @@ def test_c10_line_generator_calibration():
     structure_ok = True
     iu = np.triu_indices(n, 1)
     for seed in range(10_000):
-        g, cfg = gen_null_lines(n, m, k, seed)
+        inst = gen_null_lines(n, m, k, seed)
+        g, cfg = inst.graph, inst.grid
         a = np.array([p[0] for p in cfg.points])
         b = np.array([p[1] for p in cfg.points])
         labels = np.stack(

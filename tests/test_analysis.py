@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -62,7 +63,8 @@ class TestColumnLawGrid:
         law = column_law(state)
         assert Fraction(law.sigma_counts[1], law.denominator) == Fraction(11, 155)
         assert Fraction(law.sigma_counts[2], law.denominator) == Fraction(12, 155)
-        assert law.counts == (1, 0, 0, 0)
+        # one prior point shares column 0: pi_j = (m - 1 - hits_j) / denominator
+        assert law.pi == (11 / 155, 12 / 155, 12 / 155, 12 / 155)
 
     def test_full_rate_vector_sums_to_one(self):
         """The m occupancy classes exhaust the off-row points, so the full
@@ -104,8 +106,8 @@ class TestColumnLawGrid:
             assert law.denominator == m * m - m - d
             assert list(law.sigma_counts.items()) == list(tally.items())
             for j, (_, cb) in enumerate(state.clique_points):
-                assert law.counts[j] == sum(1 for _, b in state.prior_points if b == cb)
-                assert law.pi[j] == (m - 1 - law.counts[j]) / law.denominator
+                hits = sum(1 for _, b in state.prior_points if b == cb)
+                assert law.pi[j] == (m - 1 - hits) / law.denominator
 
     def test_exhausted_universe_rejected(self):
         state = random_prefix_state(np.random.default_rng(0), "grid", 3, 2, 2, 6)
@@ -190,9 +192,8 @@ class TestColumnLawLines:
                 for j, c in enumerate(state.clique_points):
                     forcing = sum(n for mask, n in tally.items() if mask >> j & 1)
                     assert law.pi[j] == forcing / denom
-                    assert law.counts[j] == sum(
-                        1 for p in state.prior_points if bowtie(p, c, m, k)
-                    )
+                    hits = sum(1 for p in state.prior_points if bowtie(p, c, m, k))
+                    assert law.pi[j] == ((k - 1) * (m - 1) - hits) / denom
 
     def test_composite_m_rejected(self):
         """The line design needs m prime: at m = 34 the enumerated singleton
@@ -221,7 +222,7 @@ class TestColumnLawLines:
                     hits = sum(
                         1 for p in state.prior_points if bowtie(p, cpt, m, k)
                     )
-                    assert law.counts[j] == hits
+                    assert law.pi[j] == ((k - 1) * (m - 1) - hits) / law.denominator
                     enumerated = Fraction(
                         sum(
                             c
@@ -480,6 +481,14 @@ class TestExactJointLaws:
     def test_state_space_guard(self):
         with pytest.raises(ValueError):
             exact_null_law(6, 5, "grid")
+
+    def test_coupled_work_guard(self):
+        """(7, 4) would add a 2^21-cell table on each of 4 million point
+        tuples; refused before any enumeration starts."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="state space too large"):
+            exact_coupled_law(7, 4, "grid")
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("law", [exact_null_law, exact_coupled_law, exact_joint_kl])
     def test_graph_table_cap(self, law):

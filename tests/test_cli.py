@@ -17,7 +17,6 @@ from pcsemi.graph_model import (
     gen_classical,
     gen_coupled,
     gen_null_grid,
-    instance_record,
     instance_to_json,
 )
 
@@ -55,6 +54,18 @@ class TestGen:
             "--out", str(tmp_path / "x.json"),
         )
         assert code == 2 and "n >= 1" in err
+
+    @pytest.mark.parametrize(
+        "flags", [("--model", "null-grid", "--m", "5"), ("--model", "null-lines", "--m", "11")]
+    )
+    def test_null_vertex_count(self, flags, tmp_path, capsys):
+        """n < 0 is refused by name; n = 0 writes an empty null instance."""
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "gen", *flags, "--n", "-3", "--out", str(out))
+        assert code == 2 and err == "error: need n >= 0, got n=-3\n"
+        code, _, _ = run(capsys, "gen", *flags, "--n", "0", "--out", str(out))
+        record = json.loads(out.read_text())
+        assert code == 0 and record["n"] == 0 and record["grid"]["points"] == []
 
     def test_nonprime_m_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -383,11 +394,14 @@ class TestBadInput:
         assert_usage_error(code, err, "'model'")
 
 
-def edited_instance(tmp_path, capsys, edit):
-    """Write a small classical instance, apply ``edit`` to its record, and
-    run ``recover`` on the result."""
+CLASSICAL_10 = ("--model", "classical", "--n", "10", "--s", "3")
+
+
+def edited_instance(tmp_path, capsys, edit, gen=CLASSICAL_10):
+    """Write a small instance (classical unless ``gen`` names other ``gen``
+    flags), apply ``edit`` to its record, and run ``recover`` on the result."""
     path = tmp_path / "inst.json"
-    run(capsys, "gen", "--model", "classical", "--n", "10", "--s", "3", "--out", str(path))
+    run(capsys, "gen", *gen, "--out", str(path))
     record = json.loads(path.read_text())
     edit(record)
     path.write_text(json.dumps(record))
@@ -419,6 +433,35 @@ class TestBadInstanceFile:
     def test_clique_vertex_outside_graph(self, tmp_path, capsys):
         code, _, err = edited_instance(tmp_path, capsys, lambda r: r.update(clique=[0, 17]))
         assert_usage_error(code, err, "[17]")
+
+    def test_coupled_record_with_composite_m(self, tmp_path, capsys):
+        code, _, err = edited_instance(
+            tmp_path, capsys, lambda r: r["grid"].update(m=12),
+            gen=("--model", "coupled", "--n", "20", "--m", "11", "--k", "3"),
+        )
+        assert_usage_error(code, err, "prime m, got 12")
+
+    def test_revealed_vertex_outside_clique(self, tmp_path, capsys):
+        def edit(record):
+            record["v"] = min(set(range(10)) - set(record["clique"]))
+
+        code, _, err = edited_instance(tmp_path, capsys, edit)
+        assert_usage_error(code, err, "is not in the clique")
+
+    def test_clique_missing_an_edge(self, tmp_path, capsys):
+        def edit(record):
+            a, b = record["clique"][:2]
+            record["edges"].remove([a, b])
+
+        code, _, err = edited_instance(tmp_path, capsys, edit)
+        assert_usage_error(code, err, "not fully connected")
+
+    def test_one_grid_point_for_ten_vertices(self, tmp_path, capsys):
+        code, _, err = edited_instance(
+            tmp_path, capsys, lambda r: r["grid"].update(points=r["grid"]["points"][:1]),
+            gen=("--model", "null-grid", "--n", "10", "--m", "5"),
+        )
+        assert_usage_error(code, err, "got 1 for n=10")
 
 
 PARENT_OPTIONS = {
@@ -490,11 +533,10 @@ GEN_PARAMS = st.fixed_dictionaries(
 
 
 def instance_records():
-    graph, grid = gen_null_grid(12, 5, 0)
     return [
         instance_to_json(gen_classical(10, 3, 0)),
         instance_to_json(gen_coupled(20, 11, 3, 0)),
-        instance_record(graph, "null-grid", {"n": 12, "m": 5}, 0, grid=grid),
+        instance_to_json(gen_null_grid(12, 5, 0)),
     ]
 
 

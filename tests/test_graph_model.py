@@ -30,9 +30,9 @@ from pcsemi.graph_model import (
     related,
     hypergeometric_sample,
     instance_from_json,
-    instance_record,
     instance_to_json,
     line_rate,
+    mode_rate,
     stream,
 )
 
@@ -223,8 +223,8 @@ class TestSemirandom:
 
 class TestNullGrid:
     def test_rate_formula(self):
-        _, cfg = gen_null_grid(6, 3, 0)
-        assert cfg.q == pytest.approx(0.25)
+        cfg = gen_null_grid(6, 3, 0).grid
+        assert mode_rate(cfg.mode, cfg.m, cfg.k) == pytest.approx(0.25)
         assert grid_rate(11) == pytest.approx(0.5 - 1 / 20)
         with pytest.raises(ValueError):
             gen_null_grid(4, 2, 0)
@@ -234,7 +234,7 @@ class TestNullGrid:
             gen_null_grid(7, 3, 0)  # m^2 - m = 6
 
     def test_row_column_structure(self):
-        _, cfg = gen_null_grid(50, 11, 5)
+        cfg = gen_null_grid(50, 11, 5).grid
         assert len(set(cfg.points)) == 50
         classes = {}
         for i, (a, b) in enumerate(cfg.points):
@@ -248,7 +248,8 @@ class TestNullGrid:
             assert sum(i in c for c in members) == 2
 
     def test_forced_edges_present(self):
-        g, cfg = gen_null_grid(30, 7, 2)
+        inst = gen_null_grid(30, 7, 2)
+        g, cfg = inst.graph, inst.grid
         for i in range(30):
             for j in range(i + 1, 30):
                 if cfg.points[i][0] == cfg.points[j][0] or cfg.points[i][1] == cfg.points[j][1]:
@@ -261,7 +262,8 @@ class TestNullGrid:
         hits = total = 0
         iu = np.triu_indices(50, 1)
         for seed in range(10_000):
-            g, cfg = gen_null_grid(50, 11, seed)
+            inst = gen_null_grid(50, 11, seed)
+            g, cfg = inst.graph, inst.grid
             a = np.array([p[0] for p in cfg.points])
             b = np.array([p[1] for p in cfg.points])
             design = (a[:, None] == a[None, :]) | (b[:, None] == b[None, :])
@@ -274,8 +276,8 @@ class TestNullGrid:
 
 class TestNullLines:
     def test_rate_formula(self):
-        _, cfg = gen_null_lines(20, 11, 2, 0)
-        assert cfg.q == pytest.approx(0.45)
+        cfg = gen_null_lines(20, 11, 2, 0).grid
+        assert mode_rate(cfg.mode, cfg.m, cfg.k) == pytest.approx(0.45)
         assert line_rate(11, 3) == pytest.approx(0.5 - 2 / 18)
         assert line_rate(5, 3) > 0 and line_rate(5, 1) == 0.5
 
@@ -306,7 +308,7 @@ class TestNullLines:
 
     def test_line_cliques_meet_only_at_the_vertex(self):
         """Each vertex's k line cliques pairwise intersect in that vertex."""
-        g, cfg = gen_null_lines(50, 11, 3, 9)
+        cfg = gen_null_lines(50, 11, 3, 9).grid
         m, k = cfg.m, cfg.k
         pts = cfg.points
         for v in range(50):
@@ -326,7 +328,8 @@ class TestNullLines:
                     assert cliques[x] & cliques[y] == {v}
 
     def test_forced_edges_match_relation(self):
-        g, cfg = gen_null_lines(40, 11, 3, 4)
+        inst = gen_null_lines(40, 11, 3, 4)
+        g, cfg = inst.graph, inst.grid
         for i in range(40):
             for j in range(i + 1, 40):
                 if bowtie(cfg.points[i], cfg.points[j], 11, 3):
@@ -419,8 +422,8 @@ class TestConditionalAssignment:
         state = fresh_grid_state(7, 3)
         cands, weights = column_weights(state, [0, 0, 0])
         q = state.q
-        for p, w in zip(cands, weights):
-            if state.masks[p[0] * 7 + p[1]]:
+        for i, w in zip(cands, weights):
+            if state.masks[i]:
                 assert w == 0.0
             else:
                 assert w == pytest.approx((1 - q) ** 3)
@@ -449,9 +452,7 @@ class TestConditionalAssignment:
                 if total == 0.0:
                     continue
                 perturbing = sum(
-                    w
-                    for p, w in zip(cands, weights)
-                    if int(state.masks[p[0] * m + p[1]]) >> j & 1
+                    w for i, w in zip(cands, weights) if int(state.masks[i]) >> j & 1
                 )
                 marginal += col_probs[cmask] * perturbing / total
             assert marginal == pytest.approx(1.0 / m, abs=1e-12)
@@ -481,7 +482,7 @@ class TestConditionalAssignment:
         assert weights.sum() == 0.0
         rng = np.random.default_rng(1)
         seen = {conditional_assignment(state, [0, 0, 0], rng) for _ in range(200)}
-        assert seen <= set(cands) and len(seen) > 1
+        assert seen <= {divmod(int(i), m) for i in cands} and len(seen) > 1
 
     def test_no_candidates_raises(self):
         state = fresh_grid_state(3, 2)
@@ -521,31 +522,21 @@ class TestAssignmentStateArrays:
                 column = (rng.random(s) < 0.5).astype(int)
                 cb, wb = column_weights(built, column)
                 cc, wc = column_weights(chained, column)
-                assert cb == cc and wb.tobytes() == wc.tobytes()
-            for name in ("forced", "masks", "free", "prior_hits"):
+                assert np.array_equal(cb, cc) and wb.tobytes() == wc.tobytes()
+            for name in ("masks", "free"):
                 assert np.array_equal(getattr(built, name), getattr(chained, name))
-
-    def test_prior_hits_count_every_occurrence(self):
-        state = line_state(11, 3, 4, np.random.default_rng(3))
-        p = state.unused_candidates()[0]
-        twice = state.with_point(p).with_point(p)
-        expected = [2 * bowtie(p, c, 11, 3) for c in state.clique_points]
-        assert twice.prior_hits.tolist() == expected
-        built = dataclasses.replace(state, prior_points=(p, p))
-        assert built.prior_hits.tolist() == expected
 
     def test_parent_unchanged_by_with_point(self):
         state = line_state(11, 2, 3, np.random.default_rng(5))
-        free, hits = state.free.copy(), state.prior_hits.copy()
+        free = state.free.copy()
         cands = state.unused_candidates()
         child = state
         for p in cands[:40]:
             child = child.with_point(p)
         assert np.array_equal(state.free, free)
-        assert np.array_equal(state.prior_hits, hits)
         assert state.prior_points == ()
         assert state.unused_candidates() == cands
-        assert child.free is not state.free and child.forced is state.forced
+        assert child.free is not state.free and child.masks is state.masks
         assert len(child.unused_candidates()) == len(cands) - 40
 
     def test_equality_and_hash_ignore_derived_arrays(self):
@@ -556,7 +547,7 @@ class TestAssignmentStateArrays:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
         assert a != state.with_point(r).with_point(p)
-        assert "free" not in repr(a) and "forced" not in repr(a)
+        assert "free" not in repr(a) and "masks" not in repr(a)
 
     def test_masks_match_bowtie(self):
         state = line_state(11, 3, 4, np.random.default_rng(2))
@@ -595,30 +586,29 @@ class TestHypergeometricSample:
             hypergeometric_sample(3, 10, 9, rng)
 
 
+ALL_MODELS = {
+    "classical": lambda: gen_classical(20, 6, 3),
+    "semirandom": lambda: gen_semirandom(20, 6, AdversarySpec.random(0.3), 11),
+    "null-grid": lambda: gen_null_grid(20, 7, 2),
+    "null-lines": lambda: gen_null_lines(20, 11, 2, 0),
+    "coupled": lambda: gen_coupled(30, 11, 3, 5),
+}
+
+
 class TestInstanceFile:
-    def test_planted_roundtrip(self):
-        inst = gen_semirandom(20, 6, AdversarySpec.random(0.3), 11)
-        record = instance_to_json(inst)
-        assert record["s"] == 6 and record["clique"] == sorted(inst.clique)
-        assert all(i < j for i, j in record["edges"])
-        loaded = instance_from_json(json.loads(dump_instance(record)))
-        assert np.array_equal(loaded.graph.adj, inst.graph.adj)
-        assert loaded.clique == inst.clique and loaded.revealed == inst.revealed
-
-    def test_null_instance_has_no_clique(self):
-        g, cfg = gen_null_lines(20, 11, 2, 0)
-        record = instance_record(g, "null-lines", {"n": 20, "m": 11, "k": 2}, 0, grid=cfg)
-        assert record["s"] == 0 and record["v"] is None and record["clique"] == []
-        loaded = instance_from_json(record)
-        assert loaded.grid.mode == "lines"
-        assert loaded.grid.points == cfg.points
-        assert loaded.grid.planted_line is None
-
-    def test_coupled_grid_roundtrip(self):
-        inst = gen_coupled(30, 11, 3, 5)
-        loaded = instance_from_json(instance_to_json(inst))
-        assert loaded.grid.planted_line == inst.grid.planted_line
-        assert loaded.grid.q == pytest.approx(inst.grid.q)
+    @pytest.mark.parametrize("model", sorted(ALL_MODELS))
+    def test_roundtrip(self, model):
+        """Generate, dump, load: every field comes back, the graph as the
+        same packed rows."""
+        inst = ALL_MODELS[model]()
+        assert inst.model == model
+        loaded = instance_from_json(json.loads(dump_instance(instance_to_json(inst))))
+        assert loaded.graph.rows.tobytes() == inst.graph.rows.tobytes()
+        for name in ("clique", "revealed", "model", "params", "seed", "grid"):
+            assert getattr(loaded, name) == getattr(inst, name), name
+        if model.startswith("null-"):
+            assert loaded.clique == frozenset() and loaded.revealed is None
+            assert loaded.grid.planted_line is None
 
     def test_dump_is_deterministic(self):
         inst = gen_coupled(25, 11, 2, 1)
