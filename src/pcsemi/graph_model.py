@@ -241,10 +241,18 @@ class Graph:
         return cls(n=n, adj=a)
 
 
+def is_clique(graph: Graph, vertices: Iterable[int]) -> bool:
+    """Whether every two of the given vertices are adjacent."""
+    members = sorted(set(int(u) for u in vertices))
+    sub = graph.adj[np.ix_(members, members)]
+    return bool((sub | np.eye(len(members), dtype=bool)).all())
+
+
 @dataclass(frozen=True)
 class GridConfig:
-    """Latent grid assignment behind a null or coupled instance; its design
-    must have a coin rate (``mode_rate``)."""
+    """Latent grid assignment behind a null or coupled instance: distinct
+    points of [0, m)^2, a planted line (slope, offset) in [0, k) x [0, m) if
+    any, and a design with a coin rate (``mode_rate``)."""
 
     mode: str  # "grid" | "lines"
     m: int
@@ -254,8 +262,14 @@ class GridConfig:
 
     def __post_init__(self):
         mode_rate(self.mode, self.m, self.k)
+        m, k, line = self.m, self.k, self.planted_line
+        outside = [list(p) for p in self.points if not (0 <= p[0] < m and 0 <= p[1] < m)]
+        if outside:
+            raise ValueError(f"grid point {outside[0]} outside [0, {m})^2")
         if len(set(self.points)) != len(self.points):
             raise ValueError("grid points must be distinct")
+        if line is not None and not (0 <= line[0] < k and 0 <= line[1] < m):
+            raise ValueError(f"planted line {list(line)} outside [0, {k}) x [0, {m})")
 
 
 @dataclass(frozen=True)
@@ -278,9 +292,7 @@ class PlantedInstance:
             raise ValueError(f"clique vertices {outside} outside vertices 0..{n - 1}")
         if self.revealed is not None and self.revealed not in self.clique:
             raise ValueError(f"revealed vertex {self.revealed} is not in the clique")
-        members = sorted(self.clique)
-        sub = self.graph.adj[np.ix_(members, members)]
-        if not (sub | np.eye(len(members), dtype=bool)).all():
+        if not is_clique(self.graph, self.clique):
             raise ValueError("clique vertices are not fully connected")
         if self.grid is not None and len(self.grid.points) != n:
             raise ValueError(f"need one grid point per vertex, got {len(self.grid.points)} for n={n}")
@@ -713,7 +725,7 @@ def _integer(value, what: str) -> int:
 
 def instance_from_json(record: dict) -> PlantedInstance:
     """The instance an ``instance_to_json`` record describes; the checks of
-    ``PlantedInstance`` and ``GridConfig`` refuse an inconsistent file."""
+    ``PlantedInstance`` and ``GridConfig``, and of ``s``, refuse a bad file."""
     n = _integer(record["n"], "n")
     graph = Graph.from_edges(
         n, [(_integer(i, "edge end"), _integer(j, "edge end")) for i, j in record["edges"]]
@@ -734,7 +746,7 @@ def instance_from_json(record: dict) -> PlantedInstance:
             ),
             planted_line=planted,
         )
-    return PlantedInstance(
+    inst = PlantedInstance(
         graph=graph,
         clique=frozenset(_integer(v, "clique vertex") for v in record["clique"]),
         revealed=None if record.get("v") is None else _integer(record["v"], "v"),
@@ -743,6 +755,9 @@ def instance_from_json(record: dict) -> PlantedInstance:
         seed=_integer(record["seed"], "seed"),
         grid=grid,
     )
+    if "s" in record and _integer(record["s"], "s") != len(inst.clique):
+        raise ValueError(f"s is {record['s']}, but the clique has {len(inst.clique)} vertices")
+    return inst
 
 
 def dump_instance(record: dict) -> str:

@@ -1,20 +1,19 @@
-"""Clique recovery: maximal-clique enumeration, the good-clique filter, the
-unique-good-clique rule, degree refinement of externally supplied candidate
-sets, Jaccard scoring, and the exact tail sum behind the disjointness
-guarantee.
+"""Clique recovery: maximal-clique enumeration, the good-clique rule,
+degree refinement of externally supplied candidate sets, Jaccard scoring,
+and the exact tail sum behind the disjointness guarantee.
 
-A clique of size >= s is *good* when its intersection with every other
-listed clique of size >= s stays within floor(3 log2 n).  Recovery outputs
-the unique good clique containing the revealed vertex, or the empty set.
+A clique of size >= s is *good* when no other listed clique of size >= s
+meets it in more than thr = floor(3 log2 n) vertices; recovery outputs the
+unique good clique holding the revealed vertex, or the empty set.  The rule
+is written once: ``_unspoiled`` drops the candidates that another listed set
+meets in more than thr vertices, and ``unique_holding`` picks the one
+survivor through v.  ``good_cliques`` (on the whole-graph listing, the
+reference that also counts every good clique), ``recover`` and
+``refine_and_select`` all use them.
 
-``recover`` applies this rule without listing every clique of size >= s.
-Only a clique larger than the threshold can overlap another by more than
-the threshold, so one search lists the maximal cliques of size >=
-max(s, floor(3 log2 n) + 1), and a second, rooted at the revealed vertex,
-lists the candidates: the maximal cliques of size >= s that hold it.  A
-candidate is good unless a different clique of the first list overlaps it
-by more than the threshold.  ``maximal_cliques`` and ``good_cliques``
-remain the whole-graph reference for the rule.
+``recover`` avoids listing every clique of size >= s: only a clique above
+thr vertices can spoil, so one search lists the maximal cliques of size >=
+max(s, thr + 1), and a second, rooted at v, lists the candidates through v.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph_model import Graph
+from .graph_model import Graph, is_clique
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -35,7 +34,6 @@ class CliqueSet:
     """Enumerated cliques plus how much enumeration effort they cost."""
 
     cliques: tuple[frozenset[int], ...]
-    min_size: int
     budget_used: int
     truncated: bool
 
@@ -94,14 +92,12 @@ def maximal_cliques(
     min_size = max(min_size, 1)
     nbr = graph.neighbor_masks()
     found: list[frozenset[int]] = []
-    state = {"nodes": 0, "truncated": False}
+    nodes = 0
 
     def expand(members: list[int], cand: int, done: int) -> None:
-        if state["truncated"]:
-            return
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["truncated"] = True
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
             return
         if not cand:
             if not done and len(members) >= min_size:
@@ -130,7 +126,7 @@ def maximal_cliques(
             bit = 1 << v
             ext ^= bit
             expand(members + [v], cand & nbr[v], done & nbr[v])
-            if state["truncated"]:
+            if nodes > budget:
                 return
             cand ^= bit
             done |= bit
@@ -140,12 +136,7 @@ def maximal_cliques(
     else:
         expand([containing], nbr[containing], 0)
     ordered = tuple(sorted(found, key=lambda c: tuple(sorted(c))))
-    return CliqueSet(
-        cliques=ordered,
-        min_size=min_size,
-        budget_used=state["nodes"],
-        truncated=state["truncated"],
-    )
+    return CliqueSet(cliques=ordered, budget_used=nodes, truncated=nodes > budget)
 
 
 def _peel(cand: int, need: int, nbr: list[int]) -> int:
@@ -188,38 +179,45 @@ def _colourable(cand: int, colours: int, nbr: list[int]) -> bool:
 
 
 def intersection_threshold(n: int) -> int:
-    """Largest allowed overlap between good cliques: floor(3 log2 n)."""
+    """Largest allowed overlap between good cliques: floor(3 log2 n), the
+    largest t with 2^t <= n^3, in exact integer arithmetic."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return math.floor(3.0 * math.log2(n)) if n > 1 else 0
+    return (n**3).bit_length() - 1
 
 
-def _drop_overlapping(sets: Sequence[frozenset[int]], thr: int) -> list[frozenset[int]]:
-    """The sets that overlap every other listed set in at most ``thr``
-    vertices, in their given order; both members of an offending pair are
-    dropped.
+def _unspoiled(
+    candidates: Iterable[frozenset[int]], spoilers: Iterable[frozenset[int]], thr: int
+) -> list[frozenset[int]]:
+    """The candidates, in order, that no other spoiler meets in more than
+    ``thr`` vertices; such an overlap needs both sets above ``thr``."""
+    over = [d for d in spoilers if len(d) > thr]
+    return [
+        c for c in candidates
+        if len(c) <= thr or not any(d != c and len(c & d) > thr for d in over)
+    ]
 
-    Only pairs with both sizes above the threshold can offend (the overlap
-    is at most the smaller size), so the quadratic scan is restricted to
-    those.
-    """
-    over = [c for c in sets if len(c) > thr]
-    bad: set[frozenset[int]] = set()
-    for i in range(len(over)):
-        for j in range(i + 1, len(over)):
-            if len(over[i] & over[j]) > thr:
-                bad.add(over[i])
-                bad.add(over[j])
-    return [c for c in sets if c not in bad]
+
+def unique_holding(sets: Iterable[frozenset[int]], v: int) -> frozenset[int]:
+    """The one set that holds v, else the empty set."""
+    holding = [c for c in sets if v in c]
+    return holding[0] if len(holding) == 1 else frozenset()
+
+
+def check_query(n: int, v: int, s: int) -> None:
+    """Refuse a revealed vertex outside the graph or a clique size below 1."""
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} outside [0, {n})")
+    if s < 1:
+        raise ValueError(f"need clique size s >= 1, got s={s}")
 
 
 def good_cliques(cliques: CliqueSet, s: int, n: int) -> CliqueSet:
-    """Keep size->=s cliques whose pairwise overlaps stay within the
+    """The size->=s cliques that no other of them meets in more than the
     threshold; both members of an offending pair are dropped."""
     big = [c for c in cliques.cliques if len(c) >= s]
     return CliqueSet(
-        cliques=tuple(_drop_overlapping(big, intersection_threshold(n))),
-        min_size=max(cliques.min_size, s),
+        cliques=tuple(_unspoiled(big, big, intersection_threshold(n))),
         budget_used=cliques.budget_used,
         truncated=cliques.truncated,
     )
@@ -228,23 +226,17 @@ def good_cliques(cliques: CliqueSet, s: int, n: int) -> CliqueSet:
 def recover(graph: Graph, v: int, s: int, budget: int = DEFAULT_BUDGET) -> RecoveryResult:
     """Output the unique good clique containing v, else the empty set.
 
-    Two searches answer this exactly, without listing every clique of size
-    >= s.  A listed clique D spoils a candidate C only if |C & D| > thr =
-    floor(3 log2 n), which needs |D| > thr; so the spoilers all lie in
-    ``big``, the maximal cliques of size >= max(s, thr + 1).  The candidates
-    are the maximal cliques of size >= s through v, listed by a search
-    rooted at v.  When s > thr every candidate is in ``big`` already and
-    the second search does not run.
+    Two searches answer this exactly: the spoilers are ``big``, the maximal
+    cliques of size >= max(s, thr + 1), and the candidates are the maximal
+    cliques of size >= s through v, from a search rooted at v.  When s > thr
+    every candidate is in ``big`` already and the second search does not run.
 
     One ``budget`` covers both searches, and ``budget_used`` counts the
     nodes of both.  If the first search leaves no node for the second, the
     call is truncated with ``budget_used`` = budget + 1, as a truncated
     ``maximal_cliques`` reports.
     """
-    if not 0 <= v < graph.n:
-        raise ValueError(f"vertex {v} outside [0, {graph.n})")
-    if s < 1:
-        raise ValueError(f"need clique size s >= 1, got s={s}")
+    check_query(graph.n, v, s)
     thr = intersection_threshold(graph.n)
     big = maximal_cliques(graph, min_size=max(s, thr + 1), budget=budget)
     used, truncated = big.budget_used, big.truncated
@@ -256,9 +248,8 @@ def recover(graph: Graph, v: int, s: int, budget: int = DEFAULT_BUDGET) -> Recov
         used, truncated = used + local.budget_used, local.truncated
     else:
         near, used, truncated = (), budget + 1, True
-    good = [c for c in near if not any(d != c and len(c & d) > thr for d in big.cliques)]
     return RecoveryResult(
-        vertices=good[0] if len(good) == 1 else frozenset(),
+        vertices=unique_holding(_unspoiled(near, big.cliques, thr), v),
         budget_used=used,
         truncated=truncated,
     )
@@ -274,14 +265,6 @@ def degree_refine(graph: Graph, candidate: Iterable[int], s: int) -> frozenset[i
     return frozenset(int(u) for u in np.flatnonzero(counts >= thr))
 
 
-def is_clique(graph: Graph, vertices: Iterable[int]) -> bool:
-    members = sorted(set(int(u) for u in vertices))
-    if len(members) <= 1:
-        return True
-    sub = graph.adj[np.ix_(members, members)]
-    return bool((sub | np.eye(len(members), dtype=bool)).all())
-
-
 def refine_and_select(
     graph: Graph, candidates: Sequence[Iterable[int]], v: int, s: int
 ) -> frozenset[int]:
@@ -292,7 +275,6 @@ def refine_and_select(
     refine to identical sets, which are one candidate, not an overlapping
     pair.
     """
-    thr = intersection_threshold(graph.n)
     refined: list[frozenset[int]] = []
     for cand in candidates:
         members = set(int(u) for u in cand)
@@ -302,8 +284,7 @@ def refine_and_select(
         if len(tightened) >= s and is_clique(graph, tightened):
             refined.append(tightened)
     refined = sorted(set(refined), key=lambda c: tuple(sorted(c)))
-    survivors = [c for c in _drop_overlapping(refined, thr) if v in c]
-    return survivors[0] if len(survivors) == 1 else frozenset()
+    return unique_holding(_unspoiled(refined, refined, intersection_threshold(graph.n)), v)
 
 
 def jaccard(a: Iterable[int], b: Iterable[int]) -> float:

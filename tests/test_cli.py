@@ -143,6 +143,24 @@ class TestRecover:
         assert payload["truncated"] is False
         assert payload["good_clique_count"] >= 3
 
+    def test_budget_truncates_the_counting_listing(self, tmp_path, capsys):
+        """The good-clique count and the flag come from one listing, so a
+        budget too small for it reports truncated (1,279 good cliques at the
+        default budget, 429 in the nodes that 1,000 allows)."""
+        out = tmp_path / "c.json"
+        run(
+            capsys, "gen", "--model", "coupled", "--n", "50", "--m", "11", "--k", "3",
+            "--seed", "0", "--out", str(out),
+        )
+        code, text, _ = run(capsys, "recover", "--in", str(out), "--budget", "1000")
+        assert code == 0
+        short = json.loads(text)
+        assert short["truncated"] is True
+        code, text, _ = run(capsys, "recover", "--in", str(out))
+        full = json.loads(text)
+        assert full["truncated"] is False
+        assert short["good_clique_count"] < full["good_clique_count"] == 1279
+
     def test_null_instance_needs_overrides(self, tmp_path, capsys):
         out = tmp_path / "null.json"
         run(
@@ -462,6 +480,29 @@ class TestBadInstanceFile:
             gen=("--model", "null-grid", "--n", "10", "--m", "5"),
         )
         assert_usage_error(code, err, "got 1 for n=10")
+
+    def test_grid_point_outside_the_grid(self, tmp_path, capsys):
+        def edit(record):
+            record["grid"]["points"][0] = [99, -4]
+
+        code, _, err = edited_instance(
+            tmp_path, capsys, edit, gen=("--model", "null-grid", "--n", "10", "--m", "5")
+        )
+        assert_usage_error(code, err, "grid point [99, -4] outside [0, 5)^2")
+
+    def test_planted_line_outside_its_range(self, tmp_path, capsys):
+        code, _, err = edited_instance(
+            tmp_path, capsys, lambda r: r["grid"].update(r_star=9, h_star=-2),
+            gen=("--model", "coupled", "--n", "20", "--m", "11", "--k", "3"),
+        )
+        assert_usage_error(code, err, "planted line [9, -2] outside [0, 3) x [0, 11)")
+
+    @pytest.mark.parametrize(
+        "gen", [CLASSICAL_10, ("--model", "null-grid", "--n", "10", "--m", "5")]
+    )
+    def test_size_field_not_the_clique_size(self, gen, tmp_path, capsys):
+        code, _, err = edited_instance(tmp_path, capsys, lambda r: r.update(s=7), gen=gen)
+        assert_usage_error(code, err, "s is 7")
 
 
 PARENT_OPTIONS = {

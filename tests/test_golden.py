@@ -99,6 +99,43 @@ DIGESTS = {
     "verify-pb-bound": "8beaf5a1d1e699e357b9c098b922a8e055f826cd1a43432371a5a6012b4431c1",
 }
 
+# ``recover`` on one instance of each model: (gen flags, recover flags,
+# sha256 of the printed payload).
+RECOVER_CASES = {
+    "classical-30": (
+        ["--model", "classical", "--n", "30", "--s", "8"], [],
+        "aca0f39aedcdea96db5036d9afcfb4bdfacae2d516f4f5072133e1b73eb1c999",
+    ),
+    "semirandom-60": (
+        ["--model", "semirandom", "--n", "60", "--s", "15", "--adversary", "extra_cliques:2",
+         "--seed", "42"], [],
+        "ad138c35194096b63e00be2d4c1d7f52a226e552aabf62b1746895c5a6cc3d07",
+    ),
+    "semirandom-200": (
+        ["--model", "semirandom", "--n", "200", "--s", "30", "--adversary", "extra_cliques:2"],
+        [],
+        "306036847a5f1f0f2f316f03d17d0459dff023dc223aba0e57900e607132659f",
+    ),
+    **{
+        f"coupled-50-seed{seed}": (
+            ["--model", "coupled", "--n", "50", "--m", "11", "--k", "3", "--seed", str(seed)],
+            [],
+            digest,
+        )
+        for seed, digest in enumerate([
+            "c6a61654568864d9df9b32499487a7e51ca181fbed1d0fd9863babd5d00f4b95",
+            "e7ec74d4dacd42803afa5286619cb280f3a9eea3e6f8e7a443fb0e2631e72831",
+            "8a7628f22751277eee3aabf6f9506ee967ed432d83dba19a5a58d60da0eb4c02",
+            "d614ea775406e0b3a1b91ebc1c1113300702733280e1db30b5752abc27d089d5",
+        ])
+    },
+    "null-lines-30": (
+        ["--model", "null-lines", "--n", "30", "--m", "11", "--k", "2", "--seed", "3"],
+        ["--v", "0", "--s", "3"],
+        "edbf81018bc29387dcc732b16931d7282677d723d0a73a1aff300e5850c16331",
+    ),
+}
+
 LARGE_DIGESTS = {
     18: "7881cfe98e3c81479f4887178ac59c8760817cb995677905a276f04dc134edf9",
     MAX_DIM: "af9846a54edb3603ea327613c65297f8ceb31f515517518f22381ed1a7106a0d",
@@ -141,6 +178,16 @@ def test_manifest_replay_digest(name, tmp_path, capsys):
     case_digest(name, tmp_path)
     manifest = tmp_path / f"{name}.out.manifest.json"
     assert replay_digest(CASES[name][0], manifest, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECOVER_CASES))
+def test_recover_payload_digest(name, tmp_path, capsys):
+    gen, flags, digest = RECOVER_CASES[name]
+    inst = tmp_path / "inst.json"
+    assert main(["gen", *gen, "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--in", str(inst), *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # Manifests in the earlier format, which wrote null for every parameter a

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pcsemi.graph_model import AdversarySpec, Graph, gen_coupled, gen_semirandom, stream
 from pcsemi.recovery import (
     _colourable,
+    _unspoiled,
     degree_refine,
     good_cliques,
     intersection_threshold,
@@ -323,6 +324,29 @@ class TestGoodCliques:
         assert intersection_threshold(1) == 0
         assert intersection_threshold(60) == 17
         assert intersection_threshold(1000) == 29
+
+    def test_threshold_is_largest_power_within_n_cubed(self):
+        """floor(3 log2 n) is the largest t with 2^t <= n^3, found here by
+        an integer loop."""
+        t = 0
+        for n in range(1, 5001):
+            while 2 ** (t + 1) <= n**3:
+                t += 1
+            assert intersection_threshold(n) == t
+
+    def test_spoiler_filter_at_the_threshold(self):
+        """An overlap of exactly thr vertices spoils nothing; thr + 1 spoils
+        both sets.  A set of at most thr vertices is never spoiled, and a
+        set does not spoil itself."""
+        thr = 5
+        a, b = frozenset(range(8)), frozenset(range(3, 11))  # share 5
+        c, d = frozenset(range(20, 28)), frozenset(range(22, 30))  # share 6
+        small = frozenset(range(thr))
+        listed = [a, b, c, d, small]
+        assert _unspoiled(listed, listed, thr) == [a, b, small]
+        assert _unspoiled([d, c], [c], thr) == [c]
+        assert _unspoiled([c], [c, d], thr - 1) == []
+        assert _unspoiled([c], [c, d], thr + 1) == [c]
 
 
 class TestRecover:
