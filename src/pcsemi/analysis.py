@@ -2,9 +2,10 @@
 
 Everything here either computes an exact quantity by enumeration (conditional
 column laws, one candidate enumeration over the assignment state in both
-design modes; joint graph laws at tiny scale; hypergeometric expectations;
-union-bound tails) or evaluates a closed-form bound and pairs it with the
-exact value so the inequality can be checked instance by instance.
+design modes; joint graph laws at tiny scale; the exhaustive chained bound,
+one hypergeometric sum over forced-mask classes in both modes; hypergeometric
+expectations; union-bound tails) or evaluates a closed-form bound and pairs
+it with the exact value so the inequality can be checked instance by instance.
 """
 
 from __future__ import annotations
@@ -308,6 +309,8 @@ def chained_kl_bound(
 _MAX_ASSIGNMENTS = 4_000_000
 # table cells the exact coupled law adds up, about a minute of numpy work
 _MAX_TABLE_CELLS = 1 << 34
+# column laws (or subsets) exact_chain_rhs may build, ~150 us each: ~45 s
+_MAX_CHAIN_LAWS = 300_000
 _MAX_GRAPH_N = 7  # a graph law is a table of 2^C(n,2) floats, 2^21 at n = 7
 
 
@@ -339,23 +342,27 @@ def _pairs(n: int) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
 
 def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray:
     """Exact null graph law over all 2^C(n,2) graphs, by summing over every
-    ordered distinct point assignment."""
+    ordered distinct point assignment.  Translations of Z_m^2 preserve every
+    design family, so only those starting at grid index 0 are enumerated,
+    each counted m^2 times."""
     pairs, _ = _pairs(n)
     q = mode_rate(mode, m, k)
     if n > m * m:
         raise ValueError(f"need n <= m^2, got n={n}, m={m}")
     total = _falling(m * m, n)
-    if total > _MAX_ASSIGNMENTS:
-        raise ValueError(f"state space too large: {total} assignments")
+    weight = m * m if n else 1
+    if total // weight > _MAX_ASSIGNMENTS:
+        raise ValueError(f"state space too large: {total // weight} assignments")
     pts = [(a, b) for a in range(m) for b in range(m)]
     rel = related(pts, pts, mode, m, k).tolist()  # assignments are distinct
     forced_tally: Counter[int] = Counter()
-    for assign in itertools.permutations(range(m * m), n):
+    for tail in itertools.permutations(range(1, m * m), max(n - 1, 0)):
+        assign = (0,) + tail  # at n = 0 the one empty assignment, no pairs
         f = 0
         for bit, (i, j) in enumerate(pairs):
             if rel[assign[i]][assign[j]]:
                 f |= 1 << bit
-        forced_tally[f] += 1
+        forced_tally[f] += weight
     vec = np.zeros(1 << len(pairs))
     vec[list(forced_tally)] = list(forced_tally.values())
     vec /= total
@@ -518,86 +525,77 @@ def exact_joint_kl(n: int, m: int, mode: str = "grid", k: int = 2) -> float:
 
 
 def exact_chain_rhs(n: int, m: int, mode: str = "grid", k: int = 2) -> float:
-    """Exhaustive chained bound: E_s sum_i E_prefix[column KL], with the
-    prefix expectation enumerated exactly."""
+    """Exhaustive chained bound E_s sum_d E_prefix[column KL], exactly.
+
+    A uniform d-point prefix takes x_f of the N_f free candidates of each
+    forced mask f with probability prod_f C(N_f, x_f) / C(N, d), leaving
+    sigma(f) = (N_f - x_f) / (N - d); the N_f come from ``column_law`` for
+    each slope and clique-point subset of the planted line (offset 0, which
+    translations reach from any other), and subsets with the same counts
+    share one sum.  Grid mode has one set of counts, share exactly 1.0, so
+    its value is the occupancy sum over the s clique columns term for term.
+    Refused before any law is built above ``_MAX_CHAIN_LAWS`` subsets or
+    laws."""
     q = mode_rate(mode, m, k)
+    slopes = [0] if mode == "grid" else list(range(k))
+    sizes = [s for s in range(1, min(n, m) + 1) if hg_pmf(s, n, m, m * m) > 0.0]
+    subsets = len(slopes) * sum(comb(m, s) for s in sizes)
+    if subsets > _MAX_CHAIN_LAWS:
+        raise ValueError(f"state space too large: {subsets} clique-point subsets")
+    # per size: how many (slope, subset) pairs give each set of class counts
+    tallies = [Counter(
+        frozenset(column_law(AssignmentState(mode, m, k, q, (r, 0), pts)).sigma_counts.items())
+        for r in slopes for pts in itertools.combinations(structure_points((r, 0), m), s)
+    ) for s in sizes]
+    laws = sum(sum(_removal_counts([c for _, c in counts], n - s))
+               for s, tally in zip(sizes, tallies) for counts in tally)
+    if laws > _MAX_CHAIN_LAWS:
+        raise ValueError(f"state space too large: {laws} column laws")
     total = 0.0
-    for s in range(1, min(n, m) + 1):
-        ps = hg_pmf(s, n, m, m * m)
-        if ps == 0.0:
-            continue
+    for s, tally in zip(sizes, tallies):
         ref = reference_law(q, s)
-        if mode == "grid":
-            level = sum(
-                _expected_grid_column_kl(s, d, m, q, ref) for d in range(n - s)
-            )
-        else:
-            level = sum(
-                _expected_line_column_kl(s, d, m, k, q, ref) for d in range(n - s)
-            )
-        total += ps * level
+        level = sum(
+            share / (len(slopes) * comb(m, s))
+            * sum(_expected_column_kl(counts, d, ref) for d in range(n - s))
+            for counts, share in tally.items()
+        )
+        total += hg_pmf(s, n, m, m * m) * level
     return total
 
 
-def _expected_grid_column_kl(s, d, m, q, ref) -> float:
-    """E over prior occupancy counts (multivariate hypergeometric) of the
-    exact column KL, grid mode."""
-    off = m * m - m
-    rest = off - s * (m - 1)
-    denom = off - d
-    total_ways = comb(off, d)
+def _removal_counts(sizes: list[int], lengths: int) -> list[int]:
+    """Coefficients of t^d, d < ``lengths``, in prod_f (1 + t + ... + t^N_f):
+    the removal vectors, one column law each, per prefix length d."""
+    poly = [int(d == 0) for d in range(lengths)]
+    for size in sizes:
+        poly = [sum(poly[max(0, d - size):d + 1]) for d in range(lengths)]
+    return poly
+
+
+def _expected_column_kl(counts, d, ref) -> float:
+    """E over a uniform d-point prefix of the column KL against ``ref``, for
+    the (forced mask f, free candidates N_f) pairs ``counts``.  The removal
+    vectors run in lexicographic order over the nonzero masks ascending and
+    then mask 0, which takes whatever the others leave of the prefix."""
+    counts = dict(counts)
+    masks = sorted(f for f in counts if f) + [0]
+    sizes = [counts.get(f, 0) for f in masks]
+    room = [sum(sizes[j + 1:]) for j in range(len(sizes))]
+    denom = sum(sizes) - d
+    total_ways = comb(denom + d, d)
     out = 0.0
 
-    def rec(j, left, ways, counts):
+    def rec(j, left, ways, taken):
         nonlocal out
-        if j == s:
-            ways_total = ways * comb(rest, left)
-            if ways_total == 0:
-                return
-            prob = ways_total / total_ways
-            numer = [m - 1 - c for c in counts]
-            sigma = {1 << jj: numer[jj] / denom for jj in range(s) if numer[jj]}
-            sigma[0] = (denom - sum(numer)) / denom
-            spec = PBSpec(s=s, q=q, sigma=sigma)
-            out += prob * kl_exact(spec, ref)
+        if j == len(sizes):  # the last class took all that was left
+            sigma = {f: (c - x) / denom for f, c, x in zip(masks, sizes, taken) if c > x}
+            out += ways / total_ways * kl_exact(PBSpec(ref.s, ref.q, sigma), ref)
             return
-        for x in range(0, min(m - 1, left) + 1):
-            rec(j + 1, left - x, ways * comb(m - 1, x), counts + [x])
+        for x in range(max(0, left - room[j]), min(sizes[j], left) + 1):
+            rec(j + 1, left - x, ways * comb(sizes[j], x), taken + [x])
 
     rec(0, d, 1, [])
     return out
-
-
-def _expected_line_column_kl(s, d, m, k, q, ref) -> float:
-    """E over planted slope, clique point subsets, and prior point subsets of
-    the exact column KL, line mode (full enumeration; tiny m only)."""
-    off = m * m - m
-    if comb(m, s) * comb(off, d) * (1 << s) > 2_000_000:
-        raise ValueError("state space too large for the line chain enumeration")
-    out = 0.0
-    for rstar in range(k):
-        line_pts = structure_points((rstar, 0), m)
-        off_pts = AssignmentState("lines", m, k, q, (rstar, 0), ()).unused_candidates()
-        acc = 0.0
-        n_s = comb(m, s)
-        n_p = comb(off, d)
-        for spts in itertools.combinations(line_pts, s):
-            base = AssignmentState(
-                mode="lines",
-                m=m,
-                k=k,
-                q=q,
-                planted=(rstar, 0),
-                clique_points=tuple(spts),
-            )
-            for priors in itertools.combinations(off_pts, d):
-                state = base
-                for p in priors:
-                    state = state.with_point(p)
-                law = column_law(state)
-                acc += kl_exact(law.spec, ref)
-        out += acc / (n_s * n_p)
-    return out / k
 
 
 # ---------------------------------------------------------------------------

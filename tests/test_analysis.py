@@ -34,7 +34,7 @@ from pcsemi.analysis import (
     reference_law,
     tv_from_kl,
 )
-from pcsemi.analysis import _column_likelihoods, _expected_grid_column_kl
+from pcsemi.analysis import _column_likelihoods, _expected_column_kl
 from pcsemi.graph_model import (
     AssignmentState,
     bowtie,
@@ -44,7 +44,7 @@ from pcsemi.graph_model import (
     related,
     structure_points,
 )
-from pcsemi.perturbed_bernoulli import kl_exact, superset_sum
+from pcsemi.perturbed_bernoulli import _or_coins, kl_exact, superset_sum
 
 
 class TestColumnLawGrid:
@@ -114,39 +114,42 @@ class TestColumnLawGrid:
         with pytest.raises(ValueError):
             column_law(state)
 
-    def test_expected_kl_closed_form_matches_enumeration(self):
-        """The occupancy-vector sum behind the exact chain bound equals the
-        mean column KL of the enumerated law over every clique-point subset
-        of the planted row and every prefix of d off-row points."""
+    @pytest.mark.parametrize(
+        "mode,m,k,dmax", [("grid", 3, 2, 5), ("grid", 4, 2, 11), ("lines", 5, 2, 3),
+                          ("lines", 5, 3, 3)],
+    )
+    def test_expected_kl_closed_form_matches_enumeration(self, mode, m, k, dmax):
+        """The hypergeometric sum over forced-mask classes behind the exact
+        chain bound equals the mean column KL of the enumerated law over
+        every prefix of d <= dmax off-structure points, for every
+        clique-point subset of the planted line (slope k - 1 in line mode)."""
 
-        def with_subsets(state, points):
+        def with_subsets(state, points, depth):
             yield state
-            for i, p in enumerate(points):
-                yield from with_subsets(state.with_point(p), points[i + 1:])
+            if depth:
+                for i, p in enumerate(points):
+                    yield from with_subsets(state.with_point(p), points[i + 1:], depth - 1)
 
-        for m in (3, 4):
-            q = grid_rate(m)
-            off = [(a, b) for a in range(1, m) for b in range(m)]
-            for s in range(1, m + 1):
-                ref = reference_law(q, s)
-                kls = [[] for _ in off]  # by prefix length d < len(off)
-                memo = {}
-                for cols in itertools.combinations(range(m), s):
-                    clique = tuple((0, b) for b in cols)
-                    base = AssignmentState("grid", m, 2, q, (0, 0), clique)
-                    for state in with_subsets(base, off):
-                        d = len(state.prior_points)
-                        if d == len(off):
-                            continue
-                        law = column_law(state)
-                        key = (d, tuple(sorted(law.sigma_counts.items())))
-                        if key not in memo:
-                            memo[key] = kl_exact(law.spec, ref)
-                        kls[d].append(memo[key])
+        q = grid_rate(m) if mode == "grid" else line_rate(m, k)
+        planted = (0, 0) if mode == "grid" else (k - 1, 0)
+        for s in range(1, m + 1):
+            ref = reference_law(q, s)
+            memo = {}
+            for clique in itertools.combinations(structure_points(planted, m), s):
+                base = AssignmentState(mode, m, k, q, planted, clique)
+                off = base.unused_candidates()
+                kls = [[] for _ in range(min(dmax, len(off) - 1) + 1)]  # by d
+                for state in with_subsets(base, off, len(kls) - 1):
+                    d = len(state.prior_points)
+                    law = column_law(state)
+                    key = (d, tuple(sorted(law.sigma_counts.items())))
+                    if key not in memo:
+                        memo[key] = kl_exact(law.spec, ref)
+                    kls[d].append(memo[key])
                 for d, values in enumerate(kls):
                     want = math.fsum(values) / len(values)
-                    got = _expected_grid_column_kl(s, d, m, q, ref)
-                    assert abs(got - want) <= 1e-12 * abs(want), (m, s, d)
+                    got = _expected_column_kl(column_law(base).sigma_counts, d, ref)
+                    assert abs(got - want) <= 1e-12 * abs(want), (clique, d)
 
 
 class TestColumnLawLines:
@@ -474,13 +477,82 @@ class TestExactJointLaws:
             assert 0.0 <= kl <= rhs + 1e-9
 
     def test_lines_mode_small(self):
-        kl = exact_joint_kl(3, 5, "lines", k=2)
-        rhs = exact_chain_rhs(3, 5, "lines", k=2)
-        assert 0.0 <= kl <= rhs + 1e-9
+        for n in (3, 4):
+            kl = exact_joint_kl(n, 5, "lines", k=2)
+            rhs = exact_chain_rhs(n, 5, "lines", k=2)
+            assert 0.0 <= kl <= rhs + 1e-9, n
+
+    @pytest.mark.parametrize("n,m,want", [
+        (2, 3, 0.0), (3, 3, 0.01215231752245689), (4, 3, 0.056383928802941324),
+        (5, 3, 0.16381905260284185), (6, 3, 0.38329849822904005),
+        (7, 3, 0.7872901788280416), (5, 4, 0.016048119086451058),
+        (7, 4, 0.06378888999349988), (9, 5, 0.03149048743154808),
+        (12, 7, 0.008517615012832077),
+    ])
+    def test_grid_chain_rhs_pinned(self, n, m, want):
+        """Grid values of the multivariate-hypergeometric occupancy sum over
+        the s clique columns, pinned to the last bit."""
+        assert repr(exact_chain_rhs(n, m, "grid")) == repr(want)
+
+    @pytest.mark.parametrize("n,m,k,want", [
+        (3, 5, 2, 0.0003130220034574609), (4, 5, 2, 0.001285752462622873),
+        (5, 5, 2, 0.0033046561675518994), (4, 5, 3, 0.006631610354417748),
+        (5, 5, 3, 0.017276731072607413), (6, 5, 2, 0.006804142525285468),
+    ])
+    def test_lines_chain_rhs_pinned(self, n, m, k, want):
+        """Line values of the mean column KL over every slope, clique-point
+        subset and prior-point subset, each law enumerated: the sum over
+        forced-mask classes reorders the same terms."""
+        assert exact_chain_rhs(n, m, "lines", k) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_lines_chain_rhs_reaches_seven_points(self):
+        """(7, 7, lines, 3): 299 column laws, where a sum over every prior
+        point subset would visit billions of prefixes."""
+        start = time.perf_counter()
+        rhs = exact_chain_rhs(7, 7, "lines", k=3)
+        assert 0.0 < rhs < math.inf
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n,m,mode,k,what", [
+        (30, 7, "grid", 2, "1258043 column laws"),
+        (10, 40, "grid", 2, "clique-point subsets"),
+        (7, 31, "lines", 3, "clique-point subsets"),
+    ])
+    def test_chain_rhs_work_guard(self, monkeypatch, n, m, mode, k, what):
+        """Refused from the counted work, before any column law is built."""
+
+        def no_law(*args):
+            raise AssertionError("a column law was built")
+
+        monkeypatch.setattr("pcsemi.analysis.kl_exact", no_law)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"state space too large: .*{what}"):
+            exact_chain_rhs(n, m, mode, k)
+        assert time.perf_counter() - start < 1.0
 
     def test_state_space_guard(self):
         with pytest.raises(ValueError):
             exact_null_law(6, 5, "grid")
+
+    @pytest.mark.parametrize("n,m,mode,k", [(5, 3, "grid", 2), (3, 5, "lines", 2)])
+    def test_null_law_matches_full_permutation_count(self, n, m, mode, k):
+        """The law tallied from the assignments that start at point 0 equals,
+        bit for bit, the one tallied from every ordered assignment."""
+        q = grid_rate(m) if mode == "grid" else line_rate(m, k)
+        pts = [(a, b) for a in range(m) for b in range(m)]
+        rel = related(pts, pts, mode, m, k).tolist()
+        pairs = list(itertools.combinations(range(n), 2))
+        tally = Counter()
+        for assign in itertools.permutations(range(m * m), n):
+            f = 0
+            for bit, (i, j) in enumerate(pairs):
+                if rel[assign[i]][assign[j]]:
+                    f |= 1 << bit
+            tally[f] += 1
+        want = np.zeros(1 << len(pairs))
+        want[list(tally)] = list(tally.values())
+        want /= sum(tally.values())
+        assert np.array_equal(exact_null_law(n, m, mode, k), _or_coins(want, q))
 
     def test_coupled_work_guard(self):
         """(7, 4) would add a 2^21-cell table on each of 4 million point
