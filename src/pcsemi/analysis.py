@@ -372,11 +372,10 @@ def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray
 def _column_likelihoods(state: AssignmentState) -> np.ndarray:
     """Row i: the likelihood of every possible clique column for unused
     candidate i, in ``unused_candidates()`` order: fair coins of rate q
-    except on the coordinates the candidate forces."""
-    masks = state.masks[state.free]
-    tables = np.zeros((len(masks), 1 << len(state.clique_points)))
-    tables[np.arange(len(masks)), masks] = 1.0
-    return _or_coins(tables, state.q)
+    except on the coordinates the candidate forces (the state's
+    ``likelihoods`` row of its forced mask)."""
+    rows, table = state.likelihoods
+    return table[rows[state.free]]
 
 
 def exact_coupled_law(
@@ -532,8 +531,9 @@ def exact_chain_rhs(n: int, m: int, mode: str = "grid", k: int = 2) -> float:
     sigma(f) = (N_f - x_f) / (N - d); the N_f come from ``column_law`` for
     each slope and clique-point subset of the planted line (offset 0, which
     translations reach from any other), and subsets with the same counts
-    share one sum.  Grid mode has one set of counts, share exactly 1.0, so
-    its value is the occupancy sum over the s clique columns term for term.
+    share one sum.  Grid mode has one set of counts per size, read from one
+    subset and given share exactly 1.0, so its value is the occupancy sum
+    over the s clique columns term for term.
     Refused before any law is built above ``_MAX_CHAIN_LAWS`` subsets or
     laws."""
     q = mode_rate(mode, m, k)
@@ -542,11 +542,19 @@ def exact_chain_rhs(n: int, m: int, mode: str = "grid", k: int = 2) -> float:
     subsets = len(slopes) * sum(comb(m, s) for s in sizes)
     if subsets > _MAX_CHAIN_LAWS:
         raise ValueError(f"state space too large: {subsets} clique-point subsets")
-    # per size: how many (slope, subset) pairs give each set of class counts
-    tallies = [Counter(
-        frozenset(column_law(AssignmentState(mode, m, k, q, (r, 0), pts)).sigma_counts.items())
-        for r in slopes for pts in itertools.combinations(structure_points((r, 0), m), s)
-    ) for s in sizes]
+    def class_counts(r, pts):
+        return frozenset(column_law(AssignmentState(mode, m, k, q, (r, 0), pts)).sigma_counts.items())
+
+    # per size: how many (slope, subset) pairs give each set of class counts;
+    # in grid mode every s-subset of row 0 gives {1 << j: m - 1, 0: rest}
+    if mode == "grid":
+        tallies = [Counter({class_counts(0, structure_points((0, 0), m)[:s]): comb(m, s)})
+                   for s in sizes]
+    else:
+        tallies = [Counter(
+            class_counts(r, pts)
+            for r in slopes for pts in itertools.combinations(structure_points((r, 0), m), s)
+        ) for s in sizes]
     laws = sum(sum(_removal_counts([c for _, c in counts], n - s))
                for s, tally in zip(sizes, tallies) for counts in tally)
     if laws > _MAX_CHAIN_LAWS:

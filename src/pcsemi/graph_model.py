@@ -22,22 +22,35 @@ Every instance, generated or loaded, is one ``PlantedInstance``: the null
 models carry an empty clique and no revealed vertex, and ``instance_to_json``
 / ``instance_from_json`` are the one file format.
 
+The likelihood of a clique column depends on a candidate point only through
+its forced mask, which no step of a lineage changes, so an ``AssignmentState``
+also builds, lazily and once per lineage, one ``_or_coins`` table row per
+distinct mask (``likelihoods``); ``column_weights``, for cliques of up to
+``_MAX_TABLE_DIM`` points, and the exact coupled law read their likelihoods
+out of it.
+
 Randomness: every generator derives named substreams from (seed, path) via a
 counter-based Philox generator keyed by a blake2b hash, so identical seeds
 give bit-identical instances and per-vertex streams are reproducible in any
-order.
+order.  Because Philox is counter-based, ``_rekey`` turns any generator into
+the one ``stream(seed, *path)`` would build (key set, counter and buffers
+cleared), and ``gen_coupled`` re-keys one generator for each vertex's column
+and point draws instead of building two per vertex.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .perturbed_bernoulli import _as_mask, _or_coins
 
 Point = tuple[int, int]
 
@@ -51,7 +64,7 @@ def _path_digest(seed: int, path: tuple, size: int) -> bytes:
 @lru_cache(maxsize=1)
 def _zero_seed():
     """A seed sequence of zeros, so that building a Philox draws no OS
-    entropy; ``stream`` overwrites the state it seeds at once.  Built on
+    entropy; ``_rekey`` overwrites the state it seeds at once.  Built on
     first use: the base class lives in ``numpy.random``, which importing
     pcsemi does not load."""
 
@@ -62,27 +75,32 @@ def _zero_seed():
     return ZeroSeed()
 
 
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+def _rekey(gen: np.random.Generator, seed: int, *path) -> np.random.Generator:
+    """Put the Philox generator ``gen`` in the keyed state of ``stream(seed,
+    *path)``: counter 0, empty buffer, no saved 32-bit half.  Whatever it
+    drew before, it then gives that stream's draws.  The key is the path
+    digest read as two native-order 64-bit words, as ``np.frombuffer``
+    reads it; the state setter takes plain ints, which is cheaper."""
+    key = struct.unpack("=2Q", _path_digest(seed, path, 16))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def stream(seed: int, *path) -> np.random.Generator:
     """Independent, reproducible substream keyed by (seed, path).
 
-    The same generator as ``Generator(Philox(key=key))``: the keyed state
-    is set directly (counter 0, empty buffer), because ``Philox(key=...)``
-    first draws OS entropy for a seed sequence it never uses.
+    The same generator as ``Generator(Philox(key=key))``, keyed by
+    ``_rekey``, because ``Philox(key=...)`` first draws OS entropy for a
+    seed sequence it never uses.
     """
-    key = np.frombuffer(_path_digest(seed, path, 16), dtype=np.uint64)
-    bits = np.random.Philox(_zero_seed())
-    bits.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": key},
-        "buffer": _ZERO_WORDS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(bits)
+    return _rekey(np.random.Generator(np.random.Philox(_zero_seed())), seed, *path)
 
 
 def stream_seed(seed: int, *path) -> int:
@@ -515,7 +533,8 @@ class AssignmentState:
     - ``free``: bool (m^2,), off the planted structure and not yet assigned.
 
     ``with_point`` hands ``masks`` on by reference and copies only ``free``,
-    so a chain of d steps builds the clique table once.
+    so a chain of d steps builds the clique table once; it hands on
+    ``likelihoods`` the same way once a state of the chain has built it.
     """
 
     mode: str
@@ -541,6 +560,18 @@ class AssignmentState:
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "free", free)
 
+    @cached_property
+    def likelihoods(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, table): ``table[rows[i], c]`` is the likelihood of the
+        clique column with bit mask c for grid point i, fair coins of rate q
+        except on the coordinates the point forces.  One ``_or_coins`` row
+        per distinct forced mask, built on first use: states that never
+        weigh a column, like the ledger's at s = 20, never build it."""
+        keys, rows = np.unique(self.masks, return_inverse=True)
+        table = np.zeros((len(keys), 1 << len(self.clique_points)))
+        table[np.arange(len(keys)), keys] = 1.0
+        return rows, _or_coins(table, self.q)
+
     def unused_candidates(self) -> list[Point]:
         """Off-structure points not yet assigned, in (a, b) lexicographic
         order."""
@@ -556,27 +587,37 @@ class AssignmentState:
         return child
 
 
+# largest clique whose 2^s-column likelihood table ``column_weights`` reads:
+# at most 2^10 distinct masks x 2^10 columns, 8 MiB; a larger clique, which
+# the generators accept up to s = m, weighs one column at a time instead
+_MAX_TABLE_DIM = 10
+
+
 def column_weights(state: AssignmentState, column: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Likelihood of an observed clique column for each unused candidate point.
 
     Weight of point p with forced set J: prod_{j in J} 1[column_j = 1] *
-    prod_{j not in J} q^{column_j} (1-q)^{1-column_j}.  Returns the
-    candidates' grid indices a * m + b, ascending, and their weights.
+    prod_{j not in J} q^{column_j} (1-q)^{1-column_j}, multiplied one
+    coordinate at a time in j order.  Up to s = ``_MAX_TABLE_DIM`` it is
+    read from the state's ``likelihoods`` table, whose ``_or_coins`` rows
+    multiply the same factors in the same order, so the bytes agree.
+    Returns the candidates' grid indices a * m + b, ascending, and their
+    weights.
     """
     cands = np.flatnonzero(state.free)
     if not len(cands):
         raise ValueError("no unused off-structure points remain")
-    col = [int(c) for c in column]
-    if len(col) != len(state.clique_points):
-        raise ValueError("column length does not match the clique size")
+    s = len(state.clique_points)
+    col = _as_mask(s, column)
+    if s <= _MAX_TABLE_DIM:
+        rows, table = state.likelihoods
+        return cands, table[rows[cands], col]
     q = state.q
-    forced = (state.masks[cands, None] >> np.arange(len(col))) & 1
-    # one coordinate at a time, in j order, so every weight is the same
-    # float product as the scalar definition; a forced coordinate
-    # contributes 1[column_j = 1]
+    forced = (state.masks[cands, None] >> np.arange(s)) & 1
+    # a forced coordinate contributes 1[column_j = 1]
     weights = np.ones(len(cands))
-    for j, c in enumerate(col):
-        weights *= np.where(forced[:, j], 1.0, q) if c else np.where(forced[:, j], 0.0, 1.0 - q)
+    for j in range(s):
+        weights *= np.where(forced[:, j], 1.0, q) if col >> j & 1 else np.where(forced[:, j], 0.0, 1.0 - q)
     return cands, weights
 
 
@@ -646,22 +687,21 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
         mode="lines", m=m, k=k, q=q, planted=(rstar, hstar), clique_points=cpts
     )
     points: dict[int, Point] = {int(v): cpts[j] for j, v in enumerate(members)}
-    columns: dict[int, np.ndarray] = {}
-    for i in range(n):
-        if inside[i]:
-            continue
-        col = (stream(seed, "column", i).random(s) < 0.5).astype(np.uint8)
-        p = conditional_assignment(state, col, stream(seed, "point", i))
+    outside = np.flatnonzero(~inside)
+    columns = []
+    rng = np.random.Generator(np.random.Philox(_zero_seed()))  # keyed by _rekey per draw
+    for i in outside.tolist():
+        col = _rekey(rng, seed, "column", i).random(s) < 0.5
+        p = conditional_assignment(state, col, _rekey(rng, seed, "point", i))
         state = state.with_point(p)
         points[i] = p
-        columns[i] = col
+        columns.append(col)
 
     adj = np.zeros((n, n), dtype=bool)
     adj[np.ix_(members, members)] = True
-    mlist = [int(v) for v in members]
-    for i, col in columns.items():
-        adj[mlist, i] = col.astype(bool)
-        adj[i, mlist] = col.astype(bool)
+    cross = np.array(columns, dtype=bool).reshape(len(outside), s)
+    adj[np.ix_(outside, members)] = cross
+    adj[np.ix_(members, outside)] = cross.T
 
     pts = [points[i] for i in range(n)]
     forced = related(pts, pts, "lines", m, k)
@@ -672,7 +712,7 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
 
     return PlantedInstance(
         graph=Graph(n=n, adj=adj),
-        clique=frozenset(mlist),
+        clique=frozenset(members.tolist()),
         revealed=_reveal(members, seed),
         model="coupled",
         params={"n": n, "m": m, "k": k},

@@ -166,10 +166,11 @@ def _or_coins(table: np.ndarray, q: float) -> np.ndarray:
     return table
 
 
-def _as_mask(spec: PBSpec, x: Sequence[int]) -> int:
-    xs = list(x)
-    if len(xs) != spec.s:
-        raise ValueError(f"vector length {len(xs)} != dimension {spec.s}")
+def _as_mask(s: int, x: Sequence[int]) -> int:
+    """Bit mask of the 0/1 vector x of length s; any other entry is refused."""
+    xs = x.tolist() if isinstance(x, np.ndarray) else list(x)
+    if len(xs) != s:
+        raise ValueError(f"vector length {len(xs)} != dimension {s}")
     mask = 0
     for j, bit in enumerate(xs):
         if bit not in (0, 1):
@@ -181,7 +182,7 @@ def _as_mask(spec: PBSpec, x: Sequence[int]) -> int:
 def pb_pmf(spec: PBSpec, x: Sequence[int]) -> float:
     """Exact pmf: sum over subsets J of sigma(J) * 1[x_J = 1] * prod of
     Bernoulli(q) factors on the coordinates outside J."""
-    mask = _as_mask(spec, x)
+    mask = _as_mask(spec.s, x)
     q, s = spec.q, spec.s
     total = 0.0
     for jmask, mass in spec.sigma.items():
@@ -210,7 +211,7 @@ def pb_pmf_fourier(spec: PBSpec, x: Sequence[int]) -> float:
     """
     if spec.q <= 0.0:
         raise ValueError("q must be positive for the signed product form")
-    mask = _as_mask(spec, x)
+    mask = _as_mask(spec.s, x)
     return float(pmf_fourier_vector(spec)[mask])
 
 

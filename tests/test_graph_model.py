@@ -34,6 +34,9 @@ from pcsemi.graph_model import (
     line_rate,
     mode_rate,
     stream,
+    structure_points,
+    _MAX_TABLE_DIM,
+    _rekey,
 )
 
 
@@ -115,6 +118,31 @@ class TestStream:
         first = a.random(5)
         a.random(100)
         assert np.array_equal(stream(3, "x").random(5), first)
+
+    @pytest.mark.parametrize(
+        "use, half_saved",
+        [
+            (lambda g: g.random(3), 0),
+            (lambda g: g.integers(0, 2**40, 5), 0),
+            # one 32-bit draw keeps the other half of its 64-bit word
+            (lambda g: g.random(1, dtype=np.float32), 1),
+        ],
+        ids=["random", "integers", "uint32-half"],
+    )
+    def test_rekey_gives_a_fresh_stream(self, use, half_saved):
+        """A used generator, re-keyed, draws exactly what a new ``stream``
+        of the same (seed, path) draws."""
+        gen = stream(5, "used")
+        use(gen)
+        assert gen.bit_generator.state["has_uint32"] == half_saved
+        assert repr(gen.bit_generator.state) != repr(stream(5, "used").bit_generator.state)
+        for path in [(8, "point", 3), (0,), (2**40, "column", 49)]:
+            got, want = _rekey(gen, *path), stream(*path)
+            assert got is gen
+            assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+            assert np.array_equal(got.random(7), want.random(7))
+            assert np.array_equal(got.integers(0, 1000, 9), want.integers(0, 1000, 9))
+            assert np.array_equal(got.random(3, dtype=np.float32), want.random(3, dtype=np.float32))
 
     def test_import_leaves_numpy_random_unloaded(self):
         """The keyless seed is built on first use, so importing the package
@@ -348,6 +376,52 @@ class TestCrossRateCalibration:
                 assert q + (1 - q) * Fraction(k - 1, m) == Fraction(1, 2)
 
 
+def oracle_gen_coupled(n, m, k, seed):
+    """Per-vertex reference for ``gen_coupled``: a fresh ``stream`` for each
+    vertex's column and point draws, weights from ``oracle_column_weights``.
+    Returns the adjacency, clique, revealed vertex, points and planted
+    line."""
+    q = line_rate(m, k)
+    line_rng = stream(seed, "line")
+    planted = (int(line_rng.integers(k)), int(line_rng.integers(m)))
+    size_rng = stream(seed, "size")
+    s = 0
+    while s == 0:
+        s = hypergeometric_sample(n, m, m * m, size_rng)
+    members = np.sort(stream(seed, "clique").choice(n, size=s, replace=False))
+    line = structure_points(planted, m)
+    cpts = tuple(line[b] for b in stream(seed, "spoints").permutation(m)[:s].tolist())
+    state = AssignmentState("lines", m, k, q, planted, cpts)
+    points = {int(v): cpts[j] for j, v in enumerate(members)}
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.ix_(members, members)] = True
+    for i in range(n):
+        if i in points:
+            continue
+        col = stream(seed, "column", i).random(s) < 0.5
+        cands, weights = oracle_column_weights(state, col)
+        rng, total = stream(seed, "point", i), weights.sum()
+        if total <= 0.0:
+            pick = int(rng.integers(len(cands)))
+        else:
+            u = rng.random() * total
+            pick = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), len(cands) - 1)
+        points[i] = divmod(int(cands[pick]), m)
+        state = state.with_point(points[i])
+        adj[members, i] = adj[i, members] = col
+    pts = tuple(points[i] for i in range(n))
+    u = stream(seed, "noise").random((n, n))
+    noise = np.zeros((n, n), dtype=bool)
+    noise[np.triu_indices(n, 1)] = u[np.triu_indices(n, 1)] < q
+    outside = np.ones(n, dtype=bool)
+    outside[members] = False
+    out_mask = outside[:, None] & outside[None, :]
+    adj[out_mask] = (related(pts, pts, "lines", m, k) | noise | noise.T)[out_mask]
+    np.fill_diagonal(adj, False)
+    revealed = int(members[stream(seed, "reveal").integers(s)])
+    return adj, frozenset(members.tolist()), revealed, pts, planted
+
+
 class TestCoupled:
     def test_structure(self):
         inst = gen_coupled(50, 11, 3, 0)
@@ -394,6 +468,22 @@ class TestCoupled:
             total += block.size
         se = math.sqrt(0.25 / total)
         assert abs(hits / total - 0.5) < 3 * se
+
+    @pytest.mark.parametrize(
+        "n, m, k",
+        [(50, 11, 3), (30, 11, 2), (60, 13, 3), (20, 7, 2), (21, 7, 3), (100, 17, 4), (50, 11, 5), (7, 7, 2),
+         # cliques of 7 to 16 points, on both sides of _MAX_TABLE_DIM
+         (250, 23, 3)],
+    )
+    def test_matches_per_vertex_oracle(self, n, m, k):
+        """One re-keyed generator and the likelihood table give the
+        instance of the per-vertex loop with fresh streams, byte for byte."""
+        for seed in (0, 1, 2, 97, 2**33 + 5):
+            inst = gen_coupled(n, m, k, seed)
+            adj, clique, revealed, points, line = oracle_gen_coupled(n, m, k, seed)
+            assert inst.graph.adj.tobytes() == adj.tobytes()
+            assert inst.clique == clique and inst.revealed == revealed
+            assert inst.grid.points == points and inst.grid.planted_line == line
 
     def test_deterministic(self):
         a, b = gen_coupled(30, 11, 3, 123), gen_coupled(30, 11, 3, 123)
@@ -559,6 +649,88 @@ class TestAssignmentStateArrays:
                     if bowtie((a, b), c, 11, 3)
                 )
                 assert int(state.masks[a * 11 + b]) == expected
+
+
+def oracle_column_weights(state, column):
+    """Reference product for ``column_weights``: one coordinate at a time,
+    in j order, a forced coordinate contributing 1[column_j = 1]."""
+    cands = np.flatnonzero(state.free)
+    q = state.q
+    forced = (state.masks[cands, None] >> np.arange(len(column))) & 1
+    weights = np.ones(len(cands))
+    for j, c in enumerate(column):
+        weights *= np.where(forced[:, j], 1.0, q) if c else np.where(forced[:, j], 0.0, 1.0 - q)
+    return cands, weights
+
+
+class TestLikelihoodTable:
+    """``column_weights`` reads the lineage's ``_or_coins`` table and gives
+    the bytes of the reference product."""
+
+    def test_matches_product_loop(self):
+        from pcsemi.analysis import random_prefix_state
+
+        rng = np.random.default_rng(16)
+        zero_rows = 0
+        for _ in range(300):
+            m = int(rng.choice([3, 5, 7, 11, 13]))
+            mode = "grid" if rng.random() < 0.5 or m == 3 else "lines"
+            k = 2 if mode == "grid" else int(rng.integers(2, m // 2 + 1))
+            s = int(rng.integers(1, min(m, 5) + 1))
+            d = int(rng.integers(0, m * m - m))
+            state = random_prefix_state(rng, mode, m, k, s, d)
+            for cmask in range(1 << s):
+                column = [(cmask >> j) & 1 for j in range(s)]
+                cands, weights = column_weights(state, column)
+                want_cands, want = oracle_column_weights(state, column)
+                assert np.array_equal(cands, want_cands)
+                assert weights.tobytes() == want.tobytes()
+                zero_rows += weights.sum() == 0.0
+        assert zero_rows  # some column had no compatible candidate
+
+    def test_large_clique_weighs_one_column(self):
+        """Above ``_MAX_TABLE_DIM`` the state builds no table and the
+        product runs for the one column."""
+        from pcsemi.analysis import random_prefix_state
+
+        rng = np.random.default_rng(61)
+        for s in (_MAX_TABLE_DIM, _MAX_TABLE_DIM + 1, 19):
+            state = random_prefix_state(rng, "lines", 23, 4, s, 40)
+            for _ in range(20):
+                column = (rng.random(s) < 0.5).astype(int)
+                weights = column_weights(state, column)[1]
+                assert weights.tobytes() == oracle_column_weights(state, column)[1].tobytes()
+            assert ("likelihoods" in vars(state)) == (s <= _MAX_TABLE_DIM)
+
+    def test_all_forced_zero_weights(self):
+        state = fresh_grid_state(3, 3)  # every off-row point forces a coordinate
+        for column in ([0, 0, 0], [1, 0, 1], [1, 1, 1]):
+            cands, weights = column_weights(state, column)
+            assert weights.tobytes() == oracle_column_weights(state, column)[1].tobytes()
+        assert column_weights(state, [0, 0, 0])[1].sum() == 0.0
+
+    def test_table_built_once_per_lineage(self):
+        state = line_state(11, 3, 4, np.random.default_rng(4))
+        assert "likelihoods" not in vars(state)
+        column_weights(state, [1, 0, 0, 1])
+        rows, table = state.likelihoods
+        assert table.shape == (len(np.unique(state.masks)), 16)
+        child = state.with_point(state.unused_candidates()[0]).with_point(state.unused_candidates()[1])
+        assert child.likelihoods is state.likelihoods
+        assert child == dataclasses.replace(state, prior_points=child.prior_points)
+        assert "likelihoods" not in repr(child)
+
+    @pytest.mark.parametrize("column", [[0, 2, 1], [0.5, 1, 0], [1, -1, 0], np.array([0, 1, 3])])
+    def test_non_binary_column_refused(self, column):
+        state = fresh_grid_state(7, 3)
+        with pytest.raises(ValueError, match="not 0/1"):
+            column_weights(state, column)
+        with pytest.raises(ValueError, match="not 0/1"):
+            conditional_assignment(state, column, np.random.default_rng(0))
+
+    def test_column_length_checked(self):
+        with pytest.raises(ValueError, match="length"):
+            column_weights(fresh_grid_state(7, 3), [0, 1])
 
 
 class TestHypergeometricSample:
