@@ -699,10 +699,10 @@ def _corrupted_candidates(
     return out
 
 
-def _estimate(instance: PlantedInstance, estimator: str, tseed: int, budget: int):
+def _estimate(instance: PlantedInstance, estimator: str, tseed: int):
     if estimator == "recover":
         return recover(
-            instance.graph, instance.revealed, len(instance.clique), budget=budget
+            instance.graph, instance.revealed, len(instance.clique), budget=DEFAULT_BUDGET
         ).vertices
     if estimator == "oracle-line":
         return oracle_line_pick(instance, stream(tseed, "oracle"))
@@ -737,8 +737,8 @@ def _conditioned_coupled(seed: int, t: int, n: int, m: int, k: int):
         attempt += 1
 
 
-def _experiment_trial(args) -> tuple[int, float, float]:
-    (model, estimator, seed, t, n, s, m, k, adversary, budget) = args
+def _experiment_trial(args) -> tuple[float, float]:
+    (model, estimator, seed, t, n, s, m, k, adversary) = args
     tseed = stream_seed(seed, "trial", t)
     start = time.perf_counter()
     if model == "classical":
@@ -749,9 +749,8 @@ def _experiment_trial(args) -> tuple[int, float, float]:
         inst, tseed = _conditioned_coupled(seed, t, n, m, k)
     else:
         raise ValueError(f"unknown model {model!r}")
-    guess = _estimate(inst, estimator, tseed, budget)
-    value = jaccard(guess, inst.clique)
-    return t, value, time.perf_counter() - start
+    guess = _estimate(inst, estimator, tseed)
+    return jaccard(guess, inst.clique), time.perf_counter() - start
 
 
 def jaccard_experiment(
@@ -765,7 +764,6 @@ def jaccard_experiment(
     m: int | None = None,
     k: int | None = None,
     adversary: str = "empty",
-    budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> ExperimentResult:
     """Seeded trials of (generate instance, estimate clique, score Jaccard).
@@ -778,10 +776,7 @@ def jaccard_experiment(
         raise ValueError(f"need trials >= 1, got trials={trials}")
     if threads < 1:
         raise ValueError(f"need threads >= 1, got threads={threads}")
-    args = [
-        (model, estimator, seed, t, n, s, m, k, adversary, budget)
-        for t in range(trials)
-    ]
+    args = [(model, estimator, seed, t, n, s, m, k, adversary) for t in range(trials)]
     if threads > 1:
         # imported here: multiprocessing costs every ``import pcsemi`` about
         # 1 MB of resident memory, and single-threaded runs never use it
@@ -791,7 +786,6 @@ def jaccard_experiment(
             rows = list(pool.map(_experiment_trial, args))
     else:
         rows = [_experiment_trial(a) for a in args]
-    rows.sort(key=lambda r: r[0])
     params = {"n": n, "s": s, "m": m, "k": k, "adversary": adversary}
     return ExperimentResult(
         model=model,
@@ -799,6 +793,6 @@ def jaccard_experiment(
         trials=trials,
         seed=seed,
         params={key: val for key, val in params.items() if val is not None},
-        values=tuple(r[1] for r in rows),
-        runtimes=tuple(r[2] for r in rows),
+        values=tuple(r[0] for r in rows),
+        runtimes=tuple(r[1] for r in rows),
     )

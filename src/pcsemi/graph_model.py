@@ -20,7 +20,11 @@ of a rebuild.
 
 Every instance, generated or loaded, is one ``PlantedInstance``: the null
 models carry an empty clique and no revealed vertex, and ``instance_to_json``
-/ ``instance_from_json`` are the one file format.
+/ ``instance_from_json`` are the one file format.  Every generator assembles
+its instance in ``_planted``: the clique block forced, the pairs with one end
+in the clique from a cross array, every other pair from an outside array,
+no loops.  The semi-random outside array is a custom rule or the one stock
+fill, Ber(p) coins plus t disjoint planted s-cliques (``AdversarySpec``).
 
 The likelihood of a clique column depends on a candidate point only through
 its forced mask, which no step of a lineage changes, so an ``AssignmentState``
@@ -45,7 +49,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import combinations, compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -320,14 +324,15 @@ class PlantedInstance:
 class AdversarySpec:
     """How the edges among non-clique vertices get filled in.
 
-    Only pairs with both endpoints outside the planted set are touched.
-    ``custom`` takes a deterministic rule (i, j) -> bool evaluated on those
-    pairs alone, so it cannot reach clique-incident edges by construction.
+    Only pairs with both endpoints outside the planted set are touched, by
+    the stock fill of ``gen_semirandom`` (rate ``p``, ``t`` cliques) or by
+    ``custom``'s deterministic rule (i, j) -> bool, evaluated on those pairs
+    alone, so it cannot reach clique-incident edges by construction.
     """
 
     kind: str
-    p: float | None = None
-    t: int | None = None
+    p: float = 0.0
+    t: int = 0
     rule: Callable[[int, int], bool] | None = None
 
     @classmethod
@@ -344,7 +349,7 @@ class AdversarySpec:
     def extra_cliques(cls, t: int) -> "AdversarySpec":
         if t < 0:
             raise ValueError("number of extra cliques must be >= 0")
-        return cls(kind="extra_cliques", t=t)
+        return cls(kind="extra_cliques", p=0.5, t=t)
 
     @classmethod
     def custom(cls, rule: Callable[[int, int], bool]) -> "AdversarySpec":
@@ -354,7 +359,7 @@ class AdversarySpec:
     def parse(cls, text: str) -> "AdversarySpec":
         """Parse CLI syntax: empty | random:<p> | extra_cliques:<t>."""
         name, _, arg = text.partition(":")
-        if name == "empty":
+        if text == "empty":
             return cls.empty()
         if name == "random":
             return cls.random(float(arg))
@@ -380,6 +385,8 @@ def _sym_coin(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def _choose_clique(n: int, s: int, seed: int) -> np.ndarray:
+    if not 1 <= s <= n:
+        raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     return np.sort(stream(seed, "clique").choice(n, size=s, replace=False))
 
 
@@ -387,79 +394,69 @@ def _reveal(members: np.ndarray, seed: int) -> int:
     return int(members[stream(seed, "reveal").integers(len(members))])
 
 
+def _planted(
+    n: int, members: np.ndarray, cross: np.ndarray, rest: np.ndarray, seed: int,
+    model: str, params: dict, grid: GridConfig | None = None,
+) -> PlantedInstance:
+    """The instance every generator ends in: a clique on ``members``, each
+    pair with one end in it from ``cross`` and every other pair from
+    ``rest`` (both symmetric (n, n) boolean arrays; ``rest`` is written
+    over), no loops.  A non-empty clique gets a revealed vertex."""
+    rest[members, :] = cross[members, :]
+    rest[:, members] = cross[:, members]
+    rest[np.ix_(members, members)] = True
+    np.fill_diagonal(rest, False)
+    return PlantedInstance(
+        graph=Graph(n=n, adj=rest),
+        clique=frozenset(members.tolist()),
+        revealed=_reveal(members, seed) if len(members) else None,
+        model=model,
+        params=params,
+        seed=seed,
+        grid=grid,
+    )
+
+
 def gen_classical(n: int, s: int, seed: int) -> PlantedInstance:
     """Classical planted clique: fair coins everywhere, one forced clique."""
-    if not 1 <= s <= n:
-        raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     members = _choose_clique(n, s, seed)
-    adj = _sym_coin(n, 0.5, stream(seed, "edges"))
-    adj[np.ix_(members, members)] = True
-    np.fill_diagonal(adj, False)
-    return PlantedInstance(
-        graph=Graph(n=n, adj=adj),
-        clique=frozenset(int(v) for v in members),
-        revealed=_reveal(members, seed),
-        model="classical",
-        params={"n": n, "s": s},
-        seed=seed,
-    )
+    coins = _sym_coin(n, 0.5, stream(seed, "edges"))
+    return _planted(n, members, coins, coins, seed, "classical", {"n": n, "s": s})
 
 
 def gen_semirandom(
     n: int, s: int, adversary: AdversarySpec, seed: int
 ) -> PlantedInstance:
-    """Planted clique with fair-coin cross edges and adversarial outside edges."""
-    if not 1 <= s <= n:
-        raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
+    """Planted clique with fair-coin cross edges and adversarial outside edges.
+
+    The outside pairs take the custom rule if the adversary has one, and
+    otherwise the one stock fill: Ber(p) coins from the "adversary" stream,
+    then t disjoint s-cliques on a permutation of the outside vertices drawn
+    after the coins (``empty`` is p = 0, t = 0, ``random:p`` has t = 0 and
+    ``extra_cliques:t`` has p = 1/2).
+    """
     members = _choose_clique(n, s, seed)
-    inside = np.zeros(n, dtype=bool)
-    inside[members] = True
-    outside = np.flatnonzero(~inside)
-
-    adj = np.zeros((n, n), dtype=bool)
-    adj[np.ix_(members, members)] = True
+    outside = np.delete(np.arange(n), members)
     cross = _sym_coin(n, 0.5, stream(seed, "cross"))
-    cross_mask = inside[:, None] ^ inside[None, :]
-    adj[cross_mask] = cross[cross_mask]
-
-    rng = stream(seed, "adversary")
-    if adversary.kind == "empty":
-        pass
-    elif adversary.kind == "random":
-        coins = _sym_coin(n, adversary.p, rng)
-        out_mask = ~inside[:, None] & ~inside[None, :]
-        adj[out_mask] = coins[out_mask]
-    elif adversary.kind == "extra_cliques":
+    if adversary.rule is not None:
+        rest = np.zeros((n, n), dtype=bool)
+        for i, j in combinations(outside.tolist(), 2):
+            if adversary.rule(i, j):
+                rest[i, j] = rest[j, i] = True
+    else:
         t = adversary.t
         if t * s > len(outside):
             raise ValueError(
                 f"extra_cliques({t}) needs {t * s} outside vertices, have {len(outside)}"
             )
-        coins = _sym_coin(n, 0.5, rng)
-        out_mask = ~inside[:, None] & ~inside[None, :]
-        adj[out_mask] = coins[out_mask]
+        rng = stream(seed, "adversary")
+        rest = _sym_coin(n, adversary.p, rng)
         order = rng.permutation(outside)
         for c in range(t):
             group = order[c * s : (c + 1) * s]
-            adj[np.ix_(group, group)] = True
-    elif adversary.kind == "custom":
-        for ii in range(len(outside)):
-            for jj in range(ii + 1, len(outside)):
-                i, j = int(outside[ii]), int(outside[jj])
-                if adversary.rule(i, j):
-                    adj[i, j] = adj[j, i] = True
-    else:
-        raise ValueError(f"unknown adversary kind {adversary.kind!r}")
-
-    np.fill_diagonal(adj, False)
-    return PlantedInstance(
-        graph=Graph(n=n, adj=adj),
-        clique=frozenset(int(v) for v in members),
-        revealed=_reveal(members, seed),
-        model="semirandom",
-        params={"n": n, "s": s, "adversary": adversary.label()},
-        seed=seed,
-    )
+            rest[np.ix_(group, group)] = True
+    params = {"n": n, "s": s, "adversary": adversary.label()}
+    return _planted(n, members, cross, rest, seed, "semirandom", params)
 
 
 def _sample_points(n: int, m: int, seed: int) -> np.ndarray:
@@ -473,20 +470,10 @@ def _gen_null(n: int, m: int, k: int, seed: int, mode: str, params: dict) -> Pla
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     pts = _sample_points(n, m, seed)
-    forced = related(pts, pts, mode, m, k)
-    adj = forced | _sym_coin(n, mode_rate(mode, m, k), stream(seed, "edges"))
-    np.fill_diagonal(adj, False)
-    return PlantedInstance(
-        graph=Graph(n=n, adj=adj),
-        clique=frozenset(),
-        revealed=None,
-        model=f"null-{mode}",
-        params=params,
-        seed=seed,
-        grid=GridConfig(
-            mode=mode, m=m, k=k, points=tuple(map(tuple, pts.tolist())), planted_line=None
-        ),
-    )
+    coins = _sym_coin(n, mode_rate(mode, m, k), stream(seed, "edges"))
+    adj = related(pts, pts, mode, m, k) | coins
+    grid = GridConfig(mode, m, k, tuple(map(tuple, pts.tolist())), planted_line=None)
+    return _planted(n, np.arange(0), adj, adj, seed, f"null-{mode}", params, grid)
 
 
 def gen_null_grid(n: int, m: int, seed: int) -> PlantedInstance:
@@ -677,9 +664,6 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
         s = hypergeometric_sample(n, m, m * m, size_rng)
 
     members = _choose_clique(n, s, seed)
-    inside = np.zeros(n, dtype=bool)
-    inside[members] = True
-
     line = structure_points((rstar, hstar), m)
     cpts = tuple(line[b] for b in stream(seed, "spoints").permutation(m)[:s].tolist())
 
@@ -687,7 +671,7 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
         mode="lines", m=m, k=k, q=q, planted=(rstar, hstar), clique_points=cpts
     )
     points: dict[int, Point] = {int(v): cpts[j] for j, v in enumerate(members)}
-    outside = np.flatnonzero(~inside)
+    outside = np.delete(np.arange(n), members)
     columns = []
     rng = np.random.Generator(np.random.Philox(_zero_seed()))  # keyed by _rekey per draw
     for i in outside.tolist():
@@ -696,31 +680,14 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
         state = state.with_point(p)
         points[i] = p
         columns.append(col)
-
-    adj = np.zeros((n, n), dtype=bool)
-    adj[np.ix_(members, members)] = True
-    cross = np.array(columns, dtype=bool).reshape(len(outside), s)
-    adj[np.ix_(outside, members)] = cross
-    adj[np.ix_(members, outside)] = cross.T
+    cross = np.zeros((n, n), dtype=bool)
+    cross[np.ix_(outside, members)] = np.reshape(columns, (len(outside), s))
 
     pts = [points[i] for i in range(n)]
-    forced = related(pts, pts, "lines", m, k)
-    noise = _sym_coin(n, q, stream(seed, "noise"))
-    out_mask = ~inside[:, None] & ~inside[None, :]
-    adj[out_mask] = (forced | noise)[out_mask]
-    np.fill_diagonal(adj, False)
-
-    return PlantedInstance(
-        graph=Graph(n=n, adj=adj),
-        clique=frozenset(members.tolist()),
-        revealed=_reveal(members, seed),
-        model="coupled",
-        params={"n": n, "m": m, "k": k},
-        seed=seed,
-        grid=GridConfig(
-            mode="lines", m=m, k=k, points=tuple(pts), planted_line=(rstar, hstar)
-        ),
-    )
+    rest = related(pts, pts, "lines", m, k) | _sym_coin(n, q, stream(seed, "noise"))
+    grid = GridConfig("lines", m, k, tuple(pts), planted_line=(rstar, hstar))
+    params = {"n": n, "m": m, "k": k}
+    return _planted(n, members, cross | cross.T, rest, seed, "coupled", params, grid)
 
 
 # ---------------------------------------------------------------------------

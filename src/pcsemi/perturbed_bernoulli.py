@@ -101,9 +101,6 @@ class SupersetStats:
     def value(self, mask: int) -> float:
         return float(self.values[mask])
 
-    def as_dict(self) -> dict[int, float]:
-        return {m: float(v) for m, v in enumerate(self.values)}
-
 
 @dataclass(frozen=True)
 class DivergenceReport:

@@ -407,6 +407,15 @@ class TestBadInput:
         assert_usage_error(code, err, "prime m, got 34")
         assert out == ""
 
+    def test_adversary_with_trailing_argument(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "gen", "--model", "semirandom", "--n", "20", "--s", "5",
+            "--adversary", "empty:junk", "--out", str(out),
+        )
+        assert_usage_error(code, err, "empty:junk")
+        assert not out.exists()
+
     def test_unknown_model_flag(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--model", "bogus", "--out", str(tmp_path / "x"))
         assert_usage_error(code, err, "'model'")

@@ -41,6 +41,14 @@ CASES = {
         "gen", "--model", "semirandom", "--n", "40", "--s", "10",
         "--adversary", "extra_cliques:2", "--seed", "2",
     ],
+    "gen-semirandom-empty": [
+        "gen", "--model", "semirandom", "--n", "40", "--s", "10",
+        "--adversary", "empty", "--seed", "2",
+    ],
+    "gen-semirandom-random": [
+        "gen", "--model", "semirandom", "--n", "40", "--s", "10",
+        "--adversary", "random:0.3", "--seed", "3",
+    ],
     "gen-null-grid": ["gen", "--model", "null-grid", "--n", "40", "--m", "9", "--seed", "3"],
     "gen-null-lines": [
         "gen", "--model", "null-lines", "--n", "40", "--m", "11", "--k", "3", "--seed", "4",
@@ -93,6 +101,8 @@ DIGESTS = {
     "gen-null-grid": "e6e19b98d849fc39fedf36c36ecc51fba22e3b6a5b3db478b3d1f5eea7cb65c8",
     "gen-null-lines": "18f2a1f57c46893e97edd2854560976d16c2b8a327dc5825059045197bc77f8a",
     "gen-semirandom": "c27c837c7b9e6b25c79119634d440f3cfae1afab363235b7c409d2e3d25f8289",
+    "gen-semirandom-empty": "7c56c2136c1b5403a1151a124a64e069b1e2296bd704ff2237ebdf78acc7da26",
+    "gen-semirandom-random": "ca59b8b66182a5d6f25335422ef4a72dd4824ff0b022cb7801f0a7bd22951248",
     "verify-chain": "01a840d21f53f9afc07dc93e2a1670cfa56727b9934b653c0c89f140ddf3eca3",
     "verify-column-laws": "362aab26717088fd0f3d911a225ef5e2810239e3a6ea5206c9e6fa4321cad36b",
     "verify-local-bounds": "871de28f2f98c95717a9bf1230b6b973f2ccb913c57d47138e51df7fb8001015",

@@ -241,6 +241,13 @@ class TestSemirandom:
         for i, j in outside_pairs(10, inst.clique):
             assert inst.graph.edge(i, j)
 
+    def test_custom_rule_digest(self):
+        """The custom rule's instance, byte for byte."""
+        inst = gen_semirandom(30, 6, AdversarySpec.custom(lambda i, j: (i * j) % 3 == 1), 7)
+        assert hashlib.sha256(dump_instance(instance_to_json(inst)).encode()).hexdigest() == (
+            "08b06bf0aebee25f42c7aa7207fafa29d21884e15e926f2c094f8e7644d44847"
+        )
+
     def test_adversary_parse(self):
         assert AdversarySpec.parse("empty").kind == "empty"
         assert AdversarySpec.parse("random:0.3").p == 0.3
