@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .perturbed_bernoulli import (  # noqa: F401
     PBSpec,
-    SupersetStats,
     DivergenceReport,
     bernoulli_lift,
     chi2_exact,

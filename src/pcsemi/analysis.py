@@ -171,9 +171,17 @@ def kl_local_bound_lines(law: ColumnLaw, n: int, m: int, k: int) -> float:
 
 def pair_tail_mass(law: ColumnLaw) -> float:
     """sum over |J| >= 2 of S(J); equals sum_J (2^|J| - |J| - 1) sigma(J)."""
-    stats = superset_sum(law.spec)
-    pops = _popcounts(law.spec.s)
-    return float(stats.values[pops >= 2].sum())
+    return float(superset_sum(law.spec)[_popcounts(law.spec.s) >= 2].sum())
+
+
+def column_scores(law: ColumnLaw, mode: str, n: int, m: int, k: int) -> tuple[float, float]:
+    """(exact, bound): the column's exact KL against fair coins at its base
+    rate, and the local bound of ``mode`` on it, grid or lines."""
+    if mode == "grid":
+        bound = kl_local_bound_grid(law, m)
+    else:
+        bound = kl_local_bound_lines(law, n, m, k)
+    return kl_exact(law.spec, reference_law(law.spec.q, law.spec.s)), bound
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +264,17 @@ def chained_kl_bound(
     if s > m:
         raise ValueError(f"need s <= m, got s={s}, m={m}")
     cols = n - s
+    # a fresh state leaves exactly m^2 - m off-structure points for the prefix
+    if cols - 1 > m * m - m:
+        raise ValueError(f"need n - s - 1 <= m^2 - m, got n={n}, s={s}, m={m}")
     per_exact = np.zeros((trials, cols))
     per_bound = np.zeros((trials, cols))
     for t in range(trials):
         rng = stream(seed, "chain", t)
         state = random_prefix_state(rng, mode, m, k, s, 0)
         cands = np.flatnonzero(state.free).tolist()
-        if cols - 1 > len(cands):
-            raise ValueError("not enough off-structure points for the prefix")
-        ref = reference_law(state.q, s)
         for idx in range(cols):
-            law = column_law(state)
-            if mode == "grid":
-                per_bound[t, idx] = kl_local_bound_grid(law, m)
-            else:
-                per_bound[t, idx] = kl_local_bound_lines(law, n, m, k)
-            per_exact[t, idx] = kl_exact(law.spec, ref)
+            per_exact[t, idx], per_bound[t, idx] = column_scores(column_law(state), mode, n, m, k)
             if idx < cols - 1:
                 pick = cands.pop(int(rng.integers(len(cands))))
                 state = state.with_point(divmod(pick, m))

@@ -16,7 +16,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -27,13 +26,12 @@ from . import __version__
 from .analysis import (
     chained_kl_bound,
     column_law,
+    column_scores,
     exact_chain_rhs,
     exact_joint_kl,
     hg_bound,
     hg_expectation,
     jaccard_experiment,
-    kl_local_bound_grid,
-    kl_local_bound_lines,
     random_prefix_state,
 )
 from .graph_model import (
@@ -53,7 +51,6 @@ from .perturbed_bernoulli import (
     INEQUALITY_TOL,
     bernoulli_lift,
     compare,
-    kl_exact,
     random_spec,
 )
 from .recovery import (
@@ -344,7 +341,12 @@ def _suite_column_laws(p):
     return header, rows, bad
 
 
-_LINE_BOUND_CONFIGS = [(29, 2, 2), (29, 2, 3), (37, 3, 2)]
+# (mode, m, k, s), each inside its local bound's hypotheses
+_LOCAL_BOUND_CONFIGS = [
+    ("grid", 11, 2, 2), ("grid", 11, 2, 3), ("grid", 11, 2, 4),
+    ("grid", 13, 2, 2), ("grid", 13, 2, 3), ("grid", 13, 2, 4),
+    ("lines", 29, 2, 2), ("lines", 29, 2, 3), ("lines", 37, 3, 2),
+]
 
 
 def _suite_local_bounds(p):
@@ -354,25 +356,12 @@ def _suite_local_bounds(p):
         "exact", "bound", "slack", "hypotheses_ok", "ok",
     ]
     rows, bad = [], 0
-    grid_configs = [
-        ("grid", m, k, s) for mode, m, k, s in _LAW_SWEEP
-        if mode == "grid" and s <= m - 6
-    ]
-    line_configs = [
-        ("lines", m, k, s) for mode, m, k, s in _LAW_SWEEP
-        if mode == "lines" and 4 * k <= m and 2 * k * (s + 4) <= m
-    ] + [("lines", m, k, s) for m, k, s in _LINE_BOUND_CONFIGS]
-    for mode, m, k, s in grid_configs + line_configs:
+    for mode, m, k, s in _LOCAL_BOUND_CONFIGS:
         n = m * (m - 1) // 2
         for t in range(p["trials"]):
             d = int(rng.integers(0, 2 * m + 1))
             state = random_prefix_state(rng, mode, m, k, s, d)
-            law = column_law(state)
-            if mode == "grid":
-                bound = kl_local_bound_grid(law, m)
-            else:
-                bound = kl_local_bound_lines(law, n, m, k)
-            exact = kl_exact(law.spec, bernoulli_lift(state.q, 0.5, s))
+            exact, bound = column_scores(column_law(state), mode, n, m, k)
             ok = exact <= bound + INEQUALITY_TOL
             bad += not ok
             rows.append(
@@ -410,7 +399,8 @@ def _suite_union_bound(p):
     n, s = p["n"], p["s"]
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= --s <= --n, got --s={s}, --n={n}")
-    l0 = p["l0"] if p["l0"] is not None else math.ceil(3 * math.log2(n))
+    # the smallest integer >= 3 log2 n, in exact integer arithmetic
+    l0 = p["l0"] if p["l0"] is not None else (n**3 - 1).bit_length()
     header = ["n", "s", "l0", "value", "cap", "ok"]
     value = union_bound_probability(n, s, l0)
     cap = 2.0 * s / n**2
@@ -595,7 +585,7 @@ def main(argv=None) -> int:
         params = _merge_params(args, table)
         code, outputs = body(params)
         _write_manifest(args.command, params, outputs, started)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

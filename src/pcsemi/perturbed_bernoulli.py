@@ -3,14 +3,17 @@
 A perturbed Bernoulli law ``PB(q, sigma)`` over binary vectors in {0,1}^s is
 sampled by drawing s independent Ber(q) coordinates, drawing a subset J of
 {1..s} with probability sigma(J), and forcing the coordinates in J to one.
-Subsets are encoded as bit masks: bit ``j`` set means coordinate ``j+1``
-belongs to the subset, so mask 0 is the empty set.
+Subsets are encoded as bit masks, the one encoding used throughout: bit
+``j`` set means coordinate ``j+1`` belongs to the subset, so mask 0 is the
+empty set.
 
 Provided here: the exact pmf in two algebraically distinct forms (the direct
 sum over perturbations and a signed product form driven by superset
 statistics), a sampler, exact KL and chi-squared divergences by full state
 enumeration (s <= 20), and a closed-form KL upper bound expressed through the
-superset statistics ``S(J) = sum_{J' >= J} sigma(J')``.  Every 2^s-state
+superset statistics ``S(J) = sum_{J' >= J} sigma(J')``, which
+``superset_sum`` returns as a read-only 2^s array indexed by mask and
+``mobius_invert`` turns back into masses.  Every 2^s-state
 table is built one coordinate at a time over ``_halves``: subset sums by
 ``_lattice_transform``, and every "Ber(q) coins OR a forced subset" law
 by ``_or_coins``.
@@ -19,7 +22,7 @@ by ``_or_coins``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -68,38 +71,6 @@ class PBSpec:
 
     def mass(self, mask: int) -> float:
         return self.sigma.get(mask, 0.0)
-
-    def to_json(self) -> dict:
-        """Flat record with 1-based sorted index sets, for file interchange."""
-        entries = []
-        for mask in sorted(self.sigma):
-            idx = [j + 1 for j in range(self.s) if mask >> j & 1]
-            entries.append({"set": idx, "mass": self.sigma[mask]})
-        return {"s": self.s, "q": self.q, "sigma": entries}
-
-    @classmethod
-    def from_json(cls, record: dict) -> "PBSpec":
-        s = int(record["s"])
-        sigma: dict[int, float] = {}
-        for entry in record["sigma"]:
-            mask = 0
-            for j in entry["set"]:
-                if not 1 <= int(j) <= s:
-                    raise ValueError(f"index {j} outside 1..{s}")
-                mask |= 1 << (int(j) - 1)
-            sigma[mask] = sigma.get(mask, 0.0) + float(entry["mass"])
-        return cls(s=s, q=float(record["q"]), sigma=sigma)
-
-
-@dataclass(frozen=True)
-class SupersetStats:
-    """Dense table of superset sums S(J) = sum of sigma over supersets of J."""
-
-    s: int
-    values: np.ndarray = field(repr=False)
-
-    def value(self, mask: int) -> float:
-        return float(self.values[mask])
 
 
 @dataclass(frozen=True)
@@ -244,21 +215,22 @@ def pb_sample(spec: PBSpec, rng: np.random.Generator) -> np.ndarray:
     return (coins | forced).astype(np.uint8)
 
 
-def superset_sum(spec: PBSpec) -> SupersetStats:
-    """All superset statistics S(J) via the superset zeta transform."""
+def superset_sum(spec: PBSpec) -> np.ndarray:
+    """All superset statistics S(J) via the superset zeta transform, as a
+    read-only table of 2^s floats indexed by the bit mask of J."""
     values = _lattice_transform(_dense(spec), np.add, superset=True)
     values.flags.writeable = False
-    return SupersetStats(s=spec.s, values=values)
+    return values
 
 
-def mobius_invert(stats: SupersetStats) -> dict[int, float]:
-    """Invert superset sums back to a mass map.
+def mobius_invert(values: np.ndarray) -> dict[int, float]:
+    """Invert a ``superset_sum`` table back to a mass map keyed by bit mask.
 
     Raises if the inversion produces a mass below -1e-9, which marks the
     input as not arising from a valid mass function; tiny negative dust from
     rounding (>= -1e-12 scale) is passed through untouched.
     """
-    masses = _lattice_transform(np.array(stats.values, dtype=float), np.subtract, superset=True)
+    masses = _lattice_transform(np.array(values, dtype=float), np.subtract, superset=True)
     low = masses.min()
     if low < -INEQUALITY_TOL:
         raise ValueError(f"inversion produced mass {low}, not a superset-sum table")
@@ -374,8 +346,8 @@ def kl_bound(a: PBSpec, b: PBSpec) -> float:
     tau0 = b.mass(0)
     if tau0 <= 0.0:
         raise ValueError("bound needs positive empty-set mass in the second law")
-    s_stats = superset_sum(a).values
-    t_stats = superset_sum(b).values
+    s_stats = superset_sum(a)
+    t_stats = superset_sum(b)
     ratio = (1.0 - q) / q
     weights = ((ratio * max(1.0, ratio)) ** np.arange(a.s + 1))[_popcounts(a.s)]
     return float(np.dot(weights, (s_stats - t_stats) ** 2) / tau0)

@@ -251,7 +251,7 @@ class TestColumnLawLines:
                 stats = superset_sum(law.spec)
                 for mask in range(1 << s):
                     if mask.bit_count() >= 2:
-                        assert stats.value(mask) <= cap + 1e-12
+                        assert stats[mask] <= cap + 1e-12
 
     def test_tail_identity(self):
         """sum_{|J|>=2} S(J) equals sum_J (2^|J| - |J| - 1) sigma(J)."""

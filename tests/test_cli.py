@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcsemi.cli import _build_parser, main
+from pcsemi.analysis import column_law, column_scores, random_prefix_state
+from pcsemi.cli import _LAW_SWEEP, _LOCAL_BOUND_CONFIGS, _build_parser, main
 from pcsemi.graph_model import (
     gen_classical,
     gen_coupled,
     gen_null_grid,
     instance_to_json,
+    stream,
 )
 
 
@@ -223,6 +225,32 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "local-bounds", "--trials", "2", "--seed", "1")
         assert code == 0 and "violations=0" in err
 
+    def test_local_bounds_sweep_is_the_hypothesis_filter(self):
+        """The listed configurations are exactly those of the law sweep and
+        the three wide line designs that satisfy the local bounds'
+        hypotheses (grid s <= m - 6; lines 4k <= m and 2k(s + 4) <= m), and
+        each scores cleanly at both ends of the prefix range."""
+        wide = [("lines", 29, 2, 2), ("lines", 29, 2, 3), ("lines", 37, 3, 2)]
+        grid = [c for c in _LAW_SWEEP if c[0] == "grid" and c[3] <= c[1] - 6]
+        lines = [
+            (mode, m, k, s)
+            for mode, m, k, s in _LAW_SWEEP + wide
+            if mode == "lines" and 4 * k <= m and 2 * k * (s + 4) <= m
+        ]
+        assert _LOCAL_BOUND_CONFIGS == grid + lines
+        rng = stream(0, "local-bounds-pin")
+        for mode, m, k, s in _LOCAL_BOUND_CONFIGS:
+            for d in (0, 2 * m):
+                law = column_law(random_prefix_state(rng, mode, m, k, s, d))
+                exact, bound = column_scores(law, mode, m * (m - 1) // 2, m, k)
+                assert 0.0 <= exact <= bound + 1e-9
+
+    def test_union_bound_default_l0_is_exact(self, capsys):
+        # 3 log2(2^60 + 1) lies just above 180, which float log2 rounds onto
+        code, out, _ = run(capsys, "verify", "union-bound", "--n", str(2**60 + 1))
+        assert code == 0
+        assert next(csv.DictReader(io.StringIO(out)))["l0"] == "181"
+
     def test_chain_suite(self, capsys):
         code, out, err = run(capsys, "verify", "chain", "--n", "4", "--m", "3")
         assert code == 0 and "violations=0" in err
@@ -407,6 +435,13 @@ class TestBadInput:
         assert_usage_error(code, err, "prime m, got 34")
         assert out == ""
 
+    def test_bounds_prefix_longer_than_the_grid(self, capsys):
+        # 100 trials x 10^15 columns of floats would exceed any address
+        # space, so the size is refused before the ledger is allocated
+        code, out, err = run(capsys, "bounds", "--n", str(10**15))
+        assert_usage_error(code, err, "m^2 - m")
+        assert out == ""
+
     def test_adversary_with_trailing_argument(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         code, _, err = run(
@@ -456,6 +491,14 @@ class TestBadInstanceFile:
     def test_fractional_n(self, tmp_path, capsys):
         code, _, err = edited_instance(tmp_path, capsys, lambda r: r.update(n=10.5))
         assert_usage_error(code, err, "n is 10.5")
+
+    def test_graph_too_large_to_allocate(self, tmp_path, capsys):
+        # a 10^9 x 10^9 adjacency is 10^18 bytes, beyond any address space
+        code, out, err = edited_instance(
+            tmp_path, capsys, lambda r: r.update(n=10**9, edges=[])
+        )
+        assert_usage_error(code, err, "allocate")
+        assert out == ""
 
     def test_clique_vertex_outside_graph(self, tmp_path, capsys):
         code, _, err = edited_instance(tmp_path, capsys, lambda r: r.update(clique=[0, 17]))

@@ -252,7 +252,7 @@ def large_digest(s: int) -> str:
         stats = superset_sum(spec)
         h.update(pmf_vector(spec).tobytes())
         h.update(pmf_fourier_vector(spec).tobytes())
-        h.update(stats.values.tobytes())
+        h.update(stats.tobytes())
         h.update(support_vector(spec).tobytes())
         h.update(repr(sorted(mobius_invert(stats).items())).encode())
     h.update(repr((kl_exact(a, b), chi2_exact(a, b), kl_bound(a, b))).encode())

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from pcsemi.perturbed_bernoulli import (
     MAX_DIM,
     PBSpec,
-    SupersetStats,
     bernoulli_lift,
     chi2_exact,
     compare,
@@ -240,15 +239,15 @@ class TestSupersetTransform:
     def test_point_mass_at_empty(self):
         spec = PBSpec(s=3, q=0.5, sigma={0: 1.0})
         stats = superset_sum(spec)
-        assert stats.value(0) == 1.0
-        assert all(stats.value(m) == 0.0 for m in range(1, 8))
+        assert stats[0] == 1.0
+        assert all(stats[m] == 0.0 for m in range(1, 8))
 
     def test_hand_sums(self):
         spec = PBSpec(s=2, q=0.5, sigma={0: 0.5, 0b01: 0.3, 0b11: 0.2})
         stats = superset_sum(spec)
-        assert stats.value(0b01) == pytest.approx(0.5)
-        assert stats.value(0b10) == pytest.approx(0.2)
-        assert stats.value(0b11) == pytest.approx(0.2)
+        assert stats[0b01] == pytest.approx(0.5)
+        assert stats[0b10] == pytest.approx(0.2)
+        assert stats[0b11] == pytest.approx(0.2)
 
     def test_monotone_under_superset(self):
         rng = np.random.default_rng(3)
@@ -258,7 +257,7 @@ class TestSupersetTransform:
             for mask in range(1 << s):
                 for j in range(s):
                     if not mask >> j & 1:
-                        assert stats.value(mask) >= stats.value(mask | (1 << j)) - 1e-15
+                        assert stats[mask] >= stats[mask | (1 << j)] - 1e-15
 
     def test_roundtrip_against_double_loop(self):
         rng = np.random.default_rng(17)
@@ -267,7 +266,7 @@ class TestSupersetTransform:
             spec = random_spec(rng, s, 0.5)
             stats = superset_sum(spec)
             for mask in range(1 << s):
-                assert stats.value(mask) == pytest.approx(
+                assert stats[mask] == pytest.approx(
                     brute_superset(spec, mask), abs=1e-12
                 )
             back = mobius_invert(stats)
@@ -276,12 +275,18 @@ class TestSupersetTransform:
                     spec.mass(mask), abs=1e-12
                 )
 
+    def test_table_is_a_read_only_array(self):
+        stats = superset_sum(PBSpec(s=2, q=0.5, sigma={0b11: 1.0}))
+        assert isinstance(stats, np.ndarray) and stats.shape == (4,)
+        assert not stats.flags.writeable
+        assert mobius_invert(stats) == {0b11: 1.0}
+
     def test_full_singleton_table(self):
-        stats = SupersetStats(s=1, values=np.array([1.0, 1.0]))
+        stats = np.array([1.0, 1.0])
         assert mobius_invert(stats) == {1: 1.0}
 
     def test_invalid_table_rejected(self):
-        stats = SupersetStats(s=1, values=np.array([1.0, 1.5]))
+        stats = np.array([1.0, 1.5])
         with pytest.raises(ValueError):
             mobius_invert(stats)
 
@@ -364,7 +369,7 @@ class TestPowerLookup:
                 a = random_spec(rng, s, q)
                 b = random_spec(rng, s, q, include_empty=True)
                 ratio = (1.0 - q) / q
-                diff = superset_sum(a).values - superset_sum(b).values
+                diff = superset_sum(a) - superset_sum(b)
                 expected = float(np.dot((ratio * max(1.0, ratio)) ** pop, diff**2) / b.mass(0))
                 assert kl_bound(a, b) == expected
 
@@ -491,18 +496,3 @@ class TestKLBound:
             report = compare(a, b)
             assert report.kl_exact <= report.bound + 1e-9
             assert report.slack == pytest.approx(report.bound - report.kl_exact)
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        spec = PBSpec(s=3, q=0.25, sigma={0: 0.5, 0b101: 0.3, 0b010: 0.2})
-        record = spec.to_json()
-        assert record["sigma"][0] == {"set": [], "mass": 0.5}
-        assert {tuple(e["set"]) for e in record["sigma"]} == {(), (2,), (1, 3)}
-        back = PBSpec.from_json(record)
-        assert back.s == spec.s and back.q == spec.q
-        assert back.sigma == spec.sigma
-
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            PBSpec.from_json({"s": 2, "q": 0.5, "sigma": [{"set": [3], "mass": 1.0}]})
