@@ -26,7 +26,6 @@ from .graph_model import (
     AssignmentState,
     PlantedInstance,
     design_labels,
-    gen_classical,
     gen_coupled,
     gen_semirandom,
     mode_rate,
@@ -43,7 +42,7 @@ from .perturbed_bernoulli import (
     _or_coins,
     _popcounts,
 )
-from .recovery import DEFAULT_BUDGET, jaccard, recover, refine_and_select
+from .recovery import jaccard, recover
 
 
 # ---------------------------------------------------------------------------
@@ -651,11 +650,6 @@ def tv_from_kl(kl: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    model: str
-    estimator: str
-    trials: int
-    seed: int
-    params: dict
     values: tuple[float, ...]
     runtimes: tuple[float, ...]
 
@@ -665,9 +659,10 @@ class ExperimentResult:
 
     @property
     def ci95(self) -> float:
-        if self.trials < 2:
+        trials = len(self.values)
+        if trials < 2:
             return math.inf
-        return 1.96 * float(np.std(self.values, ddof=1)) / math.sqrt(self.trials)
+        return 1.96 * float(np.std(self.values, ddof=1)) / math.sqrt(trials)
 
 
 def oracle_line_pick(instance: PlantedInstance, rng: np.random.Generator) -> frozenset[int]:
@@ -678,45 +673,6 @@ def oracle_line_pick(instance: PlantedInstance, rng: np.random.Generator) -> fro
     labels = design_labels(cfg.points, cfg.mode, cfg.m, cfg.k)
     r = int(rng.integers(cfg.k))
     return frozenset(np.flatnonzero(labels[:, r] == labels[instance.revealed, r]).tolist())
-
-
-def _corrupted_candidates(
-    instance: PlantedInstance, rng: np.random.Generator, copies: int = 3
-) -> list[frozenset[int]]:
-    """Test double for an external candidate source: copies of the planted
-    set, each perturbed within symmetric difference s/8 (the corruption the
-    degree threshold tolerates)."""
-    members = sorted(instance.clique)
-    outside = sorted(set(range(instance.graph.n)) - instance.clique)
-    flips = max(1, len(members) // 16)
-    out = []
-    for _ in range(copies):
-        drop = rng.choice(len(members), size=min(flips, len(members)), replace=False)
-        add = rng.choice(len(outside), size=min(flips, len(outside)), replace=False)
-        cand = set(members)
-        for idx in drop:
-            cand.discard(members[int(idx)])
-        for idx in add:
-            cand.add(outside[int(idx)])
-        out.append(frozenset(cand))
-    return out
-
-
-def _estimate(instance: PlantedInstance, estimator: str, tseed: int):
-    if estimator == "recover":
-        return recover(
-            instance.graph, instance.revealed, len(instance.clique), budget=DEFAULT_BUDGET
-        ).vertices
-    if estimator == "oracle-line":
-        return oracle_line_pick(instance, stream(tseed, "oracle"))
-    if estimator == "refine-oracle":
-        cands = _corrupted_candidates(instance, stream(tseed, "candidates"))
-        return refine_and_select(
-            instance.graph, cands, instance.revealed, len(instance.clique)
-        )
-    if estimator == "empty":
-        return frozenset()
-    raise ValueError(f"unknown estimator {estimator!r}")
 
 
 def _conditioned_coupled(seed: int, t: int, n: int, m: int, k: int):
@@ -742,17 +698,20 @@ def _conditioned_coupled(seed: int, t: int, n: int, m: int, k: int):
 
 def _experiment_trial(args) -> tuple[float, float]:
     (model, estimator, seed, t, n, s, m, k, adversary) = args
-    tseed = stream_seed(seed, "trial", t)
     start = time.perf_counter()
-    if model == "classical":
-        inst = gen_classical(n, s, tseed)
-    elif model == "semirandom":
+    if model == "semirandom":
+        tseed = stream_seed(seed, "trial", t)
         inst = gen_semirandom(n, s, AdversarySpec.parse(adversary), tseed)
     elif model == "coupled":
         inst, tseed = _conditioned_coupled(seed, t, n, m, k)
     else:
         raise ValueError(f"unknown model {model!r}")
-    guess = _estimate(inst, estimator, tseed)
+    if estimator == "recover":
+        guess = recover(inst.graph, inst.revealed, len(inst.clique)).vertices
+    elif estimator == "oracle-line":
+        guess = oracle_line_pick(inst, stream(tseed, "oracle"))
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
     return jaccard(guess, inst.clique), time.perf_counter() - start
 
 
@@ -771,9 +730,13 @@ def jaccard_experiment(
 ) -> ExperimentResult:
     """Seeded trials of (generate instance, estimate clique, score Jaccard).
 
-    Trials derive independent substreams from (seed, trial index), so the
-    result is identical for any thread count; outputs are ordered by trial
-    index.
+    ``model`` is ``semirandom`` (reads n, s and the adversary) or
+    ``coupled`` (reads n, m and k, conditioned on the clique size window);
+    ``estimator`` is ``recover`` (the recovery rule at the revealed vertex)
+    or ``oracle-line`` (one of the revealed vertex's latent line cliques,
+    coupled instances only).  Trials derive independent substreams from
+    (seed, trial index), so the result is identical for any thread count;
+    outputs are ordered by trial index.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got trials={trials}")
@@ -789,13 +752,5 @@ def jaccard_experiment(
             rows = list(pool.map(_experiment_trial, args))
     else:
         rows = [_experiment_trial(a) for a in args]
-    params = {"n": n, "s": s, "m": m, "k": k, "adversary": adversary}
-    return ExperimentResult(
-        model=model,
-        estimator=estimator,
-        trials=trials,
-        seed=seed,
-        params={key: val for key, val in params.items() if val is not None},
-        values=tuple(r[0] for r in rows),
-        runtimes=tuple(r[1] for r in rows),
-    )
+    values, runtimes = zip(*rows)
+    return ExperimentResult(values, runtimes)

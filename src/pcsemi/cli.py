@@ -351,10 +351,7 @@ _LOCAL_BOUND_CONFIGS = [
 
 def _suite_local_bounds(p):
     rng = stream(p["seed"], "local-bounds")
-    header = [
-        "mode", "n", "m", "k", "s", "trial", "prefix",
-        "exact", "bound", "slack", "hypotheses_ok", "ok",
-    ]
+    header = ["mode", "n", "m", "k", "s", "trial", "prefix", "exact", "bound", "slack", "ok"]
     rows, bad = [], 0
     for mode, m, k, s in _LOCAL_BOUND_CONFIGS:
         n = m * (m - 1) // 2
@@ -364,9 +361,7 @@ def _suite_local_bounds(p):
             exact, bound = column_scores(column_law(state), mode, n, m, k)
             ok = exact <= bound + INEQUALITY_TOL
             bad += not ok
-            rows.append(
-                [mode, n, m, k, s, t, d, exact, bound, bound - exact, 1, int(ok)]
-            )
+            rows.append([mode, n, m, k, s, t, d, exact, bound, bound - exact, int(ok)])
     return header, rows, bad
 
 
@@ -493,17 +488,13 @@ def cmd_bounds(p: dict) -> tuple[int, list[Path]]:
 # experiment
 # ---------------------------------------------------------------------------
 
-# tag -> (model, estimator, defaults of the parameters the caller leaves unset)
+# tag -> (model, estimator, the parameters its trials read, with their defaults)
 _EXPERIMENTS = {
     "recovery-upper": (
         "semirandom", "recover", {"n": 60, "s": 15, "adversary": "extra_cliques:2"}
     ),
-    "coupled-lower": (
-        "coupled", "recover", {"n": 50, "m": 11, "k": 3, "adversary": "empty"}
-    ),
-    "oracle-line": (
-        "coupled", "oracle-line", {"n": 50, "m": 11, "k": 3, "adversary": "empty"}
-    ),
+    "coupled-lower": ("coupled", "recover", {"n": 50, "m": 11, "k": 3}),
+    "oracle-line": ("coupled", "oracle-line", {"n": 50, "m": 11, "k": 3}),
 }
 
 _EXPERIMENT_PARAMS = {
@@ -521,19 +512,23 @@ _EXPERIMENT_PARAMS = {
 
 
 def cmd_experiment(p: dict) -> tuple[int, list[Path]]:
-    model, estimator, defaults = _EXPERIMENTS[p["tag"]]
-    _fill_unset(p, defaults)
+    model, estimator, reads = _EXPERIMENTS[p["tag"]]
+    # coupled-tag manifests once carried the adversary "empty" as a default
+    ignored = [
+        f"--{key}"
+        for key in ("n", "s", "m", "k", "adversary")
+        if key not in reads and p[key] is not None and (key, p[key]) != ("adversary", "empty")
+    ]
+    if ignored:
+        raise ValueError(f"experiment {p['tag']} does not read {', '.join(ignored)}")
+    _fill_unset(p, reads)
     result = jaccard_experiment(
         model,
         estimator,
         p["trials"],
         p["seed"],
-        n=p["n"],
-        s=p["s"],
-        m=p["m"],
-        k=p["k"],
-        adversary=p["adversary"],
         threads=p["threads"],
+        **{key: p[key] for key in reads},
     )
     header = ["trial", "jaccard", "runtime_s"]
     rows = [[t, v, r] for t, (v, r) in enumerate(zip(result.values, result.runtimes))]

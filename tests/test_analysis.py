@@ -776,17 +776,20 @@ class TestPinsker:
 
 
 class TestJaccardExperiments:
-    def test_empty_estimator_scores_zero(self):
-        res = jaccard_experiment(
-            "semirandom", "empty", 10, 0, n=20, s=5, adversary="empty"
-        )
-        assert res.mean == 0.0
-
-    def test_refine_oracle_recovers_clean_instances(self):
-        res = jaccard_experiment(
-            "semirandom", "refine-oracle", 20, 3, n=48, s=16, adversary="empty"
-        )
-        assert res.mean >= 0.9
+    def test_named_pairs_only_and_ci95(self):
+        """Only the semirandom and coupled models and the recover and
+        oracle-line estimators run; the half-width is 1.96 sd / sqrt(t), and
+        infinite at one trial."""
+        with pytest.raises(ValueError, match="model"):
+            jaccard_experiment("classical", "recover", 1, 0, n=20, s=5)
+        for estimator in ("refine-oracle", "empty"):
+            with pytest.raises(ValueError, match="estimator"):
+                jaccard_experiment("semirandom", estimator, 1, 0, n=20, s=5)
+        assert jaccard_experiment("semirandom", "recover", 1, 0, n=20, s=5).ci95 == math.inf
+        res = jaccard_experiment("semirandom", "recover", 8, 3, n=60, s=10, adversary="random:0.6")
+        assert 0.0 < res.mean < 1.0
+        sd = float(np.std(res.values, ddof=1))
+        assert res.ci95 == pytest.approx(1.96 * sd / math.sqrt(8))
 
     def test_coupled_trials_respect_size_window(self):
         from pcsemi.analysis import _conditioned_coupled

@@ -342,6 +342,22 @@ class TestExperiment:
         )
         assert code == 2 and "window" in err
 
+    @pytest.mark.parametrize(
+        "tag, flags, named",
+        [
+            ("coupled-lower", ["--s", "5", "--adversary", "extra_cliques:9"], "--s, --adversary"),
+            ("recovery-upper", ["--m", "4", "--k", "9"], "--m, --k"),
+        ],
+        ids=["coupled-lower", "recovery-upper"],
+    )
+    def test_flags_the_tag_never_reads(self, tag, flags, named, tmp_path, capsys):
+        csv_path = tmp_path / "e.csv"
+        code, out, err = run(
+            capsys, "experiment", tag, "--trials", "2", *flags, "--csv", str(csv_path)
+        )
+        assert_usage_error(code, err, named)
+        assert out == "" and not csv_path.exists()
+
 
 def assert_usage_error(code, err, word):
     assert code == 2

@@ -2,8 +2,8 @@
 
 Each case runs one fixed (subcommand, flags, seed) through the command line
 and hashes what it writes: instance JSON for every model, the chained-bound
-ledgers, two verification sweeps, and the ``trial,jaccard`` columns of two
-experiments (``runtime_s`` is wall time and is left out).  A change that
+ledgers, two verification sweeps, and the ``trial,jaccard`` columns of all
+three experiments (``runtime_s`` is wall time and is left out).  A change that
 keeps these digests keeps every seeded output of the corpus byte-identical.
 A digest may change only with a stated reason.
 
@@ -83,6 +83,11 @@ CASES = {
     "verify-pb-bound": ["verify", "pb-bound", "--trials", "6", "--seed", "8"],
     "experiment-coupled-lower": ["experiment", "coupled-lower", "--trials", "6", "--seed", "4"],
     "experiment-oracle-line": ["experiment", "oracle-line", "--trials", "12", "--seed", "5"],
+    # a random adversary at this size leaves mixed 0/1 scores; the defaults give all 1s
+    "experiment-recovery-upper": [
+        "experiment", "recovery-upper", "--n", "60", "--s", "10", "--adversary", "random:0.6",
+        "--trials", "8", "--seed", "3",
+    ],
 }
 
 DIGESTS = {
@@ -92,6 +97,7 @@ DIGESTS = {
     "bounds-lines-k3": "70e6aaf32143aeea222c232795a388d7b335f48933432575b56253bc3f1ee3d4",
     "experiment-coupled-lower": "b133e71892663909924e97eef4017419d56b6a406d54581ad1f898452e28d879",
     "experiment-oracle-line": "5dbb93273df14df5b87b1a7e6d81d2e083a71ae26b73d2b64ca66a3436a4da28",
+    "experiment-recovery-upper": "fded30b64f90aaea399df4b18b69bd53cd204fc7723aa745fde977892106220a",
     "gen-classical": "719f69c1021607b545d28a358fee7793e6ba7f60e61e08fb32554bbb0aacdced",
     "gen-coupled-200": "4bf6c99b359f41b744f5f0b6e777512eee2ef12d590733179a2942d4d12116a1",
     "gen-coupled-50-seed0": "8a5b3e87e80f65675f488cdde14802b68e47a4fd6bc47913cee87a5294b02cf2",
@@ -105,7 +111,8 @@ DIGESTS = {
     "gen-semirandom-random": "ca59b8b66182a5d6f25335422ef4a72dd4824ff0b022cb7801f0a7bd22951248",
     "verify-chain": "01a840d21f53f9afc07dc93e2a1670cfa56727b9934b653c0c89f140ddf3eca3",
     "verify-column-laws": "362aab26717088fd0f3d911a225ef5e2810239e3a6ea5206c9e6fa4321cad36b",
-    "verify-local-bounds": "871de28f2f98c95717a9bf1230b6b973f2ccb913c57d47138e51df7fb8001015",
+    # re-recorded without the constant hypotheses_ok column; the rest is unchanged
+    "verify-local-bounds": "2fcb93fe05b94e6f8fbdddcef26f2d631e7a168f9c7fbaa99127b05924c5d097",
     "verify-pb-bound": "8beaf5a1d1e699e357b9c098b922a8e055f826cd1a43432371a5a6012b4431c1",
 }
 
@@ -200,8 +207,10 @@ def test_recover_payload_digest(name, tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-# Manifests in the earlier format, which wrote null for every parameter a
-# verify suite or an experiment tag fills in; the digest is of the output.
+# Manifests in earlier formats: one wrote null for every parameter a verify
+# suite or an experiment tag fills in, and a later one wrote the adversary
+# "empty" into coupled-tag experiments, which never read it; the digest is of
+# the output.
 EARLIER_MANIFESTS = {
     "verify-chain": (
         {
@@ -215,6 +224,15 @@ EARLIER_MANIFESTS = {
         {
             "subcommand": "experiment",
             "params": {"adversary": None, "csv": "e.csv", "k": None, "m": None, "n": None,
+                       "s": None, "seed": 4, "tag": "coupled-lower", "threads": 1,
+                       "trials": 6},
+        },
+        DIGESTS["experiment-coupled-lower"],
+    ),
+    "experiment-coupled-lower-adversary-empty": (
+        {
+            "subcommand": "experiment",
+            "params": {"adversary": "empty", "csv": "e.csv", "k": 3, "m": 11, "n": 50,
                        "s": None, "seed": 4, "tag": "coupled-lower", "threads": 1,
                        "trials": 6},
         },

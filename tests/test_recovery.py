@@ -518,16 +518,21 @@ class TestDegreeRefine:
 
 class TestRefineAndSelect:
     def test_corrupted_copy_refines_to_planted(self):
-        hits = 0
+        """A copy with one outside vertex added, and one that also drops a
+        member, both refine back to the planted clique."""
+        hits = [0, 0]
         for seed in range(30):
             inst = gen_semirandom(48, 16, AdversarySpec.empty(), seed)
             rng = stream(seed, "corrupt")
+            members = sorted(inst.clique)
             outside = sorted(set(range(48)) - inst.clique)
             wrong = outside[int(rng.integers(len(outside)))]
-            cand = set(inst.clique) | {wrong}
-            got = refine_and_select(inst.graph, [cand], inst.revealed, 16)
-            hits += got == inst.clique
-        assert hits >= 28
+            dropped = members[int(rng.integers(len(members)))]
+            added = set(inst.clique) | {wrong}
+            for i, cand in enumerate((added, added - {dropped})):
+                got = refine_and_select(inst.graph, [cand], inst.revealed, 16)
+                hits[i] += got == inst.clique
+        assert min(hits) >= 28
 
     def test_empty_candidate_list(self):
         g = complete_graph(5)
