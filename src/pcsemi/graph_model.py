@@ -29,7 +29,7 @@ fill, Ber(p) coins plus t disjoint planted s-cliques (``AdversarySpec``).
 The likelihood of a clique column depends on a candidate point only through
 its forced mask, which no step of a lineage changes, so an ``AssignmentState``
 also builds, lazily and once per lineage, one ``_or_coins`` table row per
-distinct mask (``likelihoods``); ``column_weights``, for cliques of up to
+distinct mask (``likelihoods``); ``_weight_rows``, for cliques of up to
 ``_MAX_TABLE_DIM`` points, and the exact coupled law read their likelihoods
 out of it.
 
@@ -39,7 +39,14 @@ give bit-identical instances and per-vertex streams are reproducible in any
 order.  Because Philox is counter-based, ``_rekey`` turns any generator into
 the one ``stream(seed, *path)`` would build (key set, counter and buffers
 cleared), and ``gen_coupled`` re-keys one generator for each vertex's column
-and point draws instead of building two per vertex.
+and point draws instead of building two per vertex, with the keys of one
+part hashed from a shared "seed/part/" prefix (``_part_keys``).
+
+``gen_coupled`` places the outside vertices in three passes: it draws every
+column and point uniform, weighs every grid point for every column at once
+(``_weight_rows``), and then picks the points in vertex order over one
+in-place mask of free points, as a chain of ``conditional_assignment`` and
+``with_point`` steps would.
 """
 
 from __future__ import annotations
@@ -65,6 +72,19 @@ def _path_digest(seed: int, path: tuple, size: int) -> bytes:
     return hashlib.blake2b(text.encode(), digest_size=size).digest()
 
 
+def _part_keys(seed: int, part: str, indices: Iterable[int]) -> list[tuple[int, int]]:
+    """The Philox keys of ``stream(seed, part, i)`` for each index i: the
+    16-byte ``_path_digest`` of "seed/part/i", from one hash fed the common
+    prefix "seed/part/" once and copied per index."""
+    prefix = hashlib.blake2b(f"{int(seed)}/{part}/".encode(), digest_size=16)
+    keys = []
+    for i in indices:
+        h = prefix.copy()
+        h.update(str(i).encode())
+        keys.append(struct.unpack("=2Q", h.digest()))
+    return keys
+
+
 @lru_cache(maxsize=1)
 def _zero_seed():
     """A seed sequence of zeros, so that building a Philox draws no OS
@@ -84,8 +104,13 @@ def _rekey(gen: np.random.Generator, seed: int, *path) -> np.random.Generator:
     *path)``: counter 0, empty buffer, no saved 32-bit half.  Whatever it
     drew before, it then gives that stream's draws.  The key is the path
     digest read as two native-order 64-bit words, as ``np.frombuffer``
-    reads it; the state setter takes plain ints, which is cheaper."""
-    key = struct.unpack("=2Q", _path_digest(seed, path, 16))
+    reads it."""
+    return _set_key(gen, struct.unpack("=2Q", _path_digest(seed, path, 16)))
+
+
+def _set_key(gen: np.random.Generator, key: tuple[int, int]) -> np.random.Generator:
+    """``gen`` reset to counter 0 of the Philox stream with this key; the
+    state setter takes plain ints, which is cheaper than arrays."""
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": key},
@@ -574,38 +599,50 @@ class AssignmentState:
         return child
 
 
-# largest clique whose 2^s-column likelihood table ``column_weights`` reads:
+# largest clique whose 2^s-column likelihood table ``_weight_rows`` reads:
 # at most 2^10 distinct masks x 2^10 columns, 8 MiB; a larger clique, which
-# the generators accept up to s = m, weighs one column at a time instead
+# the generators accept up to s = m, multiplies its factors out instead
 _MAX_TABLE_DIM = 10
 
 
 def column_weights(state: AssignmentState, column: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Likelihood of an observed clique column for each unused candidate point.
 
-    Weight of point p with forced set J: prod_{j in J} 1[column_j = 1] *
-    prod_{j not in J} q^{column_j} (1-q)^{1-column_j}, multiplied one
-    coordinate at a time in j order.  Up to s = ``_MAX_TABLE_DIM`` it is
-    read from the state's ``likelihoods`` table, whose ``_or_coins`` rows
-    multiply the same factors in the same order, so the bytes agree.
     Returns the candidates' grid indices a * m + b, ascending, and their
-    weights.
+    weights, read from ``_weight_rows``.
     """
     cands = np.flatnonzero(state.free)
     if not len(cands):
         raise ValueError("no unused off-structure points remain")
     s = len(state.clique_points)
-    col = _as_mask(s, column)
+    _as_mask(s, column)  # refuses a wrong length or an entry other than 0/1
+    return cands, _weight_rows(state, np.asarray(column, dtype=bool).reshape(1, s))[0, cands]
+
+
+def _weight_rows(state: AssignmentState, columns: np.ndarray) -> np.ndarray:
+    """(len(columns), m^2) likelihoods: entry (x, a * m + b) is the weight
+    of the clique column ``columns[x]`` (a boolean row of length s) for grid
+    point (a, b) with forced set J,
+
+        prod_{j in J} 1[column_j = 1] * prod_{j not in J} q^{column_j} (1-q)^{1-column_j},
+
+    multiplied one coordinate at a time in j order.  Up to s =
+    ``_MAX_TABLE_DIM`` it is gathered from the state's ``likelihoods``
+    table, whose ``_or_coins`` rows multiply the same factors in the same
+    order, so the bytes agree; above it the product runs over the stacked
+    columns."""
+    s = len(state.clique_points)
     if s <= _MAX_TABLE_DIM:
         rows, table = state.likelihoods
-        return cands, table[rows[cands], col]
+        return table[:, columns @ (1 << np.arange(s))].T[:, rows]
     q = state.q
-    forced = (state.masks[cands, None] >> np.arange(s)) & 1
+    forced = (state.masks[:, None] >> np.arange(s)) & 1
     # a forced coordinate contributes 1[column_j = 1]
-    weights = np.ones(len(cands))
+    weights = np.ones((len(columns), len(forced)))
     for j in range(s):
-        weights *= np.where(forced[:, j], 1.0, q) if col >> j & 1 else np.where(forced[:, j], 0.0, 1.0 - q)
-    return cands, weights
+        on, off = np.where(forced[:, j], 1.0, q), np.where(forced[:, j], 0.0, 1.0 - q)
+        weights *= np.where(columns[:, j, None], on, off)
+    return weights
 
 
 def conditional_assignment(
@@ -641,6 +678,12 @@ def hypergeometric_sample(
     return int(rng.hypergeometric(marked, total - marked, draws))
 
 
+# the most weights ``gen_coupled`` holds at once (16 MiB of floats): it
+# weighs the outside vertices in blocks of rows of m^2 weights, so that a
+# large grid, such as n = 1000 at m = 1009, never needs an (n, m^2) array
+_WEIGHT_BLOCK = 1 << 21
+
+
 def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
     """Semi-random instance coupled to the line null model.
 
@@ -649,6 +692,15 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
     conditional given its realized column; leftover edges follow the null
     rule (aligned -> edge, else Ber(q)).  A drawn clique size of zero is
     rejected and redrawn so the instance always exposes a clique.
+
+    The outside vertices, in index order, take the draws of
+    ``conditional_assignment`` in three passes.  The first draws each
+    vertex's column and its point uniform from its re-keyed "column" and
+    "point" streams.  The second weighs every grid point for every column at
+    once (``_weight_rows``).  The third walks the vertices in order over one
+    in-place mask of free points: it gathers the free points' weights, and
+    picks by cumulative sum, or, when they are all zero, by a uniform index
+    from the vertex's re-keyed "point" stream.
     """
     _check_lines_params(n, m, k)
     if n < 1:
@@ -672,16 +724,32 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
     )
     points: dict[int, Point] = {int(v): cpts[j] for j, v in enumerate(members)}
     outside = np.delete(np.arange(n), members)
-    columns = []
-    rng = np.random.Generator(np.random.Philox(_zero_seed()))  # keyed by _rekey per draw
-    for i in outside.tolist():
-        col = _rekey(rng, seed, "column", i).random(s) < 0.5
-        p = conditional_assignment(state, col, _rekey(rng, seed, "point", i))
-        state = state.with_point(p)
-        points[i] = p
-        columns.append(col)
+    rng = np.random.Generator(np.random.Philox(_zero_seed()))  # re-keyed per draw
+    columns = np.zeros((len(outside), s), dtype=bool)
+    for x, key in enumerate(_part_keys(seed, "column", outside.tolist())):
+        columns[x] = _set_key(rng, key).random(s) < 0.5
+    point_keys = _part_keys(seed, "point", outside.tolist())
+    uniforms = [_set_key(rng, key).random() for key in point_keys]
+
+    free = state.free.copy()
+    block = max(1, _WEIGHT_BLOCK // (m * m))
+    for start in range(0, len(outside), block):
+        weights = _weight_rows(state, columns[start : start + block])
+        for x, row in enumerate(weights, start):
+            cands = free.nonzero()[0]
+            # summed over the gathered candidates alone: zeros interleaved
+            # would change the pairwise sum's rounding
+            w = row[cands]
+            total = w.sum()
+            if total <= 0.0:
+                pick = int(_set_key(rng, point_keys[x]).integers(len(cands)))
+            else:
+                u = uniforms[x] * total
+                pick = min(int(w.cumsum().searchsorted(u, side="right")), len(cands) - 1)
+            free[cands[pick]] = False
+            points[int(outside[x])] = divmod(int(cands[pick]), m)
     cross = np.zeros((n, n), dtype=bool)
-    cross[np.ix_(outside, members)] = np.reshape(columns, (len(outside), s))
+    cross[np.ix_(outside, members)] = columns
 
     pts = [points[i] for i in range(n)]
     rest = related(pts, pts, "lines", m, k) | _sym_coin(n, q, stream(seed, "noise"))

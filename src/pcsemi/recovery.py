@@ -13,14 +13,18 @@ reference that also counts every good clique), ``recover`` and
 
 ``recover`` avoids listing every clique of size >= s: only a clique above
 thr vertices can spoil, so one search lists the maximal cliques of size >=
-max(s, thr + 1), and a second, rooted at v, lists the candidates through v.
+max(s, thr + 1), and a second, rooted at v, lists the candidates through v
+and stops once a second unspoiled candidate decides that the answer is
+empty.  Both searches, and the whole-graph listing, are one lazy branch and
+bound (``_CliqueSearch``) that yields each maximal clique as it finds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +45,8 @@ class CliqueSet:
 @dataclass(frozen=True)
 class RecoveryResult:
     """The recovered set and the enumeration effort: ``budget_used`` search
-    nodes, ``truncated`` once the budget ran out."""
+    nodes up to the point where the answer was decided, ``truncated`` when
+    the budget ran out before that."""
 
     vertices: frozenset[int]
     budget_used: int
@@ -58,6 +63,33 @@ def maximal_cliques(
     clique holding v lies in N[v], and it is maximal in G exactly when no
     vertex of N(v) extends it, so this root lists the maximal cliques of G
     through v (the single-vertex subproblem of Eppstein-Loffler-Strash).
+
+    ``budget`` caps the number of search nodes (see ``_CliqueSearch``);
+    exhausting it sets the truncated flag on the (partial) result instead of
+    discarding it.  Every listed clique is maximal and of size >= min_size
+    either way.
+    """
+    if graph.n > 512:
+        raise ValueError(f"enumeration capped at n <= 512, got n={graph.n}")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    if containing is not None and not 0 <= containing < graph.n:
+        raise ValueError(f"vertex {containing} outside [0, {graph.n})")
+    nbr = graph.neighbor_masks()
+    search = _CliqueSearch(nbr, min_size, budget)
+    if containing is None:
+        found = list(search.cliques([], (1 << graph.n) - 1))
+    else:
+        found = list(search.cliques([containing], nbr[containing]))
+    ordered = tuple(sorted(found, key=lambda c: tuple(sorted(c))))
+    return CliqueSet(cliques=ordered, budget_used=search.nodes, truncated=search.truncated)
+
+
+class _CliqueSearch:
+    """The one clique search: a lazy pivoting branch and bound that yields
+    each maximal clique of size >= min_size as it reaches it, so a caller
+    may stop once it has what it needs.  ``nodes`` counts the search nodes
+    entered so far; past ``budget`` the search stops and is ``truncated``.
 
     Each search node extends ``members`` by candidates ``cand``, with
     ``done`` the vertices already branched on.  Let need = min_size -
@@ -78,31 +110,31 @@ def maximal_cliques(
       ``done`` vertex with at most ``need`` neighbours in ``cand``, which is
       adjacent to all of no such clique.
 
-    ``budget`` caps the number of search nodes, which are the nodes of the
-    peeled, colour-cut tree; exhausting it sets the truncated flag on the
-    (partial) result instead of discarding it.  Every listed clique is
-    maximal and of size >= min_size either way.
+    The nodes counted are those of the peeled, colour-cut tree.
     """
-    if graph.n > 512:
-        raise ValueError(f"enumeration capped at n <= 512, got n={graph.n}")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if containing is not None and not 0 <= containing < graph.n:
-        raise ValueError(f"vertex {containing} outside [0, {graph.n})")
-    min_size = max(min_size, 1)
-    nbr = graph.neighbor_masks()
-    found: list[frozenset[int]] = []
-    nodes = 0
 
-    def expand(members: list[int], cand: int, done: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
+    def __init__(self, nbr: list[int], min_size: int, budget: int):
+        self.nbr = nbr
+        self.min_size = max(min_size, 1)
+        self.budget = budget
+        self.nodes = 0
+
+    @property
+    def truncated(self) -> bool:
+        return self.nodes > self.budget
+
+    def cliques(self, members: list[int], cand: int, done: int = 0) -> Iterator[frozenset[int]]:
+        """The maximal cliques that extend ``members`` by vertices of
+        ``cand`` and by no vertex of ``done``, in search order."""
+        self.nodes += 1
+        if self.nodes > self.budget:
             return
+        min_size = self.min_size
         if not cand:
             if not done and len(members) >= min_size:
-                found.append(frozenset(members))
+                yield frozenset(members)
             return
+        nbr = self.nbr
         need = min_size - len(members) - 1
         if need > 0:
             cand = _peel(cand, need, nbr)
@@ -125,18 +157,11 @@ def maximal_cliques(
             v = ext.bit_length() - 1
             bit = 1 << v
             ext ^= bit
-            expand(members + [v], cand & nbr[v], done & nbr[v])
-            if nodes > budget:
+            yield from self.cliques(members + [v], cand & nbr[v], done & nbr[v])
+            if self.nodes > self.budget:
                 return
             cand ^= bit
             done |= bit
-
-    if containing is None:
-        expand([], (1 << graph.n) - 1, 0)
-    else:
-        expand([containing], nbr[containing], 0)
-    ordered = tuple(sorted(found, key=lambda c: tuple(sorted(c))))
-    return CliqueSet(cliques=ordered, budget_used=nodes, truncated=nodes > budget)
 
 
 def _peel(cand: int, need: int, nbr: list[int]) -> int:
@@ -231,27 +256,33 @@ def recover(graph: Graph, v: int, s: int, budget: int = DEFAULT_BUDGET) -> Recov
     cliques of size >= s through v, from a search rooted at v.  When s > thr
     every candidate is in ``big`` already and the second search does not run.
 
+    The rooted search stops once the answer is decided: every candidate
+    holds v, so a second candidate that no spoiler rules out makes the
+    answer empty, and the cliques left unlisted cannot change it.
+
     One ``budget`` covers both searches, and ``budget_used`` counts the
-    nodes of both.  If the first search leaves no node for the second, the
-    call is truncated with ``budget_used`` = budget + 1, as a truncated
-    ``maximal_cliques`` reports.
+    nodes of both, the rooted one's up to the decision; ``truncated`` says
+    the budget ran out before it.  If the first search leaves no node for
+    the second, the call is truncated with ``budget_used`` = budget + 1, as
+    a truncated ``maximal_cliques`` reports.
     """
     check_query(graph.n, v, s)
     thr = intersection_threshold(graph.n)
     big = maximal_cliques(graph, min_size=max(s, thr + 1), budget=budget)
-    used, truncated = big.budget_used, big.truncated
     if s > thr:
         near = [c for c in big.cliques if v in c]
-    elif used < budget:
-        local = maximal_cliques(graph, min_size=s, budget=budget - used, containing=v)
-        near = local.cliques
-        used, truncated = used + local.budget_used, local.truncated
-    else:
-        near, used, truncated = (), budget + 1, True
+        vertices = unique_holding(_unspoiled(near, big.cliques, thr), v)
+        return RecoveryResult(vertices, big.budget_used, big.truncated)
+    if big.budget_used >= budget:
+        return RecoveryResult(frozenset(), budget + 1, True)
+    nbr = graph.neighbor_masks()
+    search = _CliqueSearch(nbr, s, budget - big.budget_used)
+    listed = search.cliques([v], nbr[v])
+    survivors = list(islice((c for c in listed if _unspoiled([c], big.cliques, thr)), 2))
     return RecoveryResult(
-        vertices=unique_holding(_unspoiled(near, big.cliques, thr), v),
-        budget_used=used,
-        truncated=truncated,
+        vertices=unique_holding(survivors, v),
+        budget_used=big.budget_used + search.nodes,
+        truncated=search.truncated,
     )
 
 

@@ -82,6 +82,10 @@ CASES = {
     "verify-local-bounds": ["verify", "local-bounds", "--trials", "2", "--seed", "3"],
     "verify-pb-bound": ["verify", "pb-bound", "--trials", "6", "--seed", "8"],
     "experiment-coupled-lower": ["experiment", "coupled-lower", "--trials", "6", "--seed", "4"],
+    # about 200 coupled instances and recovery decisions
+    "experiment-coupled-lower-200": [
+        "experiment", "coupled-lower", "--trials", "200", "--seed", "11",
+    ],
     "experiment-oracle-line": ["experiment", "oracle-line", "--trials", "12", "--seed", "5"],
     # a random adversary at this size leaves mixed 0/1 scores; the defaults give all 1s
     "experiment-recovery-upper": [
@@ -96,6 +100,7 @@ DIGESTS = {
     "bounds-lines-60": "e434673d3a37fba9880baf9bf7b50ae72bdcbd32f3312a8d5420262b62b6ac10",
     "bounds-lines-k3": "70e6aaf32143aeea222c232795a388d7b335f48933432575b56253bc3f1ee3d4",
     "experiment-coupled-lower": "b133e71892663909924e97eef4017419d56b6a406d54581ad1f898452e28d879",
+    "experiment-coupled-lower-200": "34da9b94fb9446d0143e2c21d5f6ce266ab07fcf442f3b26b1c5759206044304",
     "experiment-oracle-line": "5dbb93273df14df5b87b1a7e6d81d2e083a71ae26b73d2b64ca66a3436a4da28",
     "experiment-recovery-upper": "fded30b64f90aaea399df4b18b69bd53cd204fc7723aa745fde977892106220a",
     "gen-classical": "719f69c1021607b545d28a358fee7793e6ba7f60e61e08fb32554bbb0aacdced",

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -36,7 +37,10 @@ from pcsemi.graph_model import (
     stream,
     structure_points,
     _MAX_TABLE_DIM,
+    _part_keys,
+    _path_digest,
     _rekey,
+    _set_key,
 )
 
 
@@ -143,6 +147,19 @@ class TestStream:
             assert np.array_equal(got.random(7), want.random(7))
             assert np.array_equal(got.integers(0, 1000, 9), want.integers(0, 1000, 9))
             assert np.array_equal(got.random(3, dtype=np.float32), want.random(3, dtype=np.float32))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+    def test_part_keys_match_path_digest(self, seed):
+        """The keys hashed from one "seed/part/" prefix are the digests of
+        the whole paths, up to the largest ``stream_seed`` value, and key
+        the streams ``stream`` builds."""
+        indices = [0, 1, 9, 10, 99, 100, 12345]
+        gen = stream(0, "used")
+        for part in ("column", "point"):
+            keys = _part_keys(seed, part, indices)
+            assert keys == [struct.unpack("=2Q", _path_digest(seed, (part, i), 16)) for i in indices]
+            for i, key in zip(indices, keys):
+                assert np.array_equal(_set_key(gen, key).random(5), stream(seed, part, i).random(5))
 
     def test_import_leaves_numpy_random_unloaded(self):
         """The keyless seed is built on first use, so importing the package
@@ -491,6 +508,28 @@ class TestCoupled:
             assert inst.graph.adj.tobytes() == adj.tobytes()
             assert inst.clique == clique and inst.revealed == revealed
             assert inst.grid.points == points and inst.grid.planted_line == line
+
+    @pytest.mark.parametrize(
+        "n, m, k, seed", [(55, 11, 5, 3), (55, 11, 5, 6), (10, 5, 2, 86), (21, 7, 3, 228)]
+    )
+    def test_uniform_fallback_matches_oracle(self, n, m, k, seed, monkeypatch):
+        """Instances where some column has no compatible point, so a vertex
+        takes the uniform draw from its "point" stream instead: byte for
+        byte the oracle's, which is seen to take that branch."""
+        weigh, fallbacks = oracle_column_weights, []
+
+        def recording(state, column):
+            cands, weights = weigh(state, column)
+            fallbacks.append(weights.sum() <= 0.0)
+            return cands, weights
+
+        monkeypatch.setitem(globals(), "oracle_column_weights", recording)
+        adj, clique, revealed, points, line = oracle_gen_coupled(n, m, k, seed)
+        assert any(fallbacks)
+        inst = gen_coupled(n, m, k, seed)
+        assert inst.graph.adj.tobytes() == adj.tobytes()
+        assert inst.clique == clique and inst.revealed == revealed
+        assert inst.grid.points == points and inst.grid.planted_line == line
 
     def test_deterministic(self):
         a, b = gen_coupled(30, 11, 3, 123), gen_coupled(30, 11, 3, 123)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcsemi.analysis import _conditioned_coupled
 from pcsemi.graph_model import AdversarySpec, Graph, gen_coupled, gen_semirandom, stream
 from pcsemi.recovery import (
     _colourable,
@@ -441,6 +442,46 @@ class TestRecover:
             big = maximal_cliques(g, min_size=max(s, thr + 1)).cliques
             spoiled += any(d != c and len(c & d) > thr for c in near for d in big)
         assert spoiled > 0
+
+    def test_decided_stop_matches_reference_rule(self):
+        """The rooted search stops at the second unspoiled candidate through
+        v; the answer stays the whole-graph rule's on the lower-bound
+        experiment's coupled instances (n = 50, m = 11, k = 3) and on dense
+        G(n, p) graphs, and the stop is seen to cut the search."""
+        cases = []
+        for seed in range(200):
+            inst, _ = _conditioned_coupled(seed, 0, 50, 11, 3)
+            cases.append((inst.graph, inst.revealed, len(inst.clique)))
+        rng = np.random.default_rng(67)
+        for trial in range(100):
+            n = int(rng.integers(6, 40))
+            adj = np.triu(rng.random((n, n)) < rng.uniform(0.3, 0.9), 1)
+            cases.append((Graph(n=n, adj=adj | adj.T), int(rng.integers(n)), int(rng.integers(1, 8))))
+        stopped = 0
+        for g, v, s in cases:
+            res = recover(g, v, s)
+            assert not res.truncated
+            assert res.vertices == self.reference_rule(g, v, s)
+            big = maximal_cliques(g, min_size=max(s, intersection_threshold(g.n) + 1))
+            near = maximal_cliques(g, min_size=s, containing=v)
+            stopped += res.budget_used < big.budget_used + near.budget_used
+        assert stopped > 100
+
+    def test_decided_stop_needs_no_full_listing(self):
+        """v = 0 lies in 20 maximal triangles {0, 2i + 1, 2i + 2} and in no
+        larger clique; the first two decide that the answer is empty, so a
+        budget too small for the rooted listing still decides it."""
+        pairs = 20
+        edges = [(0, u) for u in range(1, 2 * pairs + 1)]
+        edges += [(2 * i + 1, 2 * i + 2) for i in range(pairs)]
+        g = Graph.from_edges(2 * pairs + 1, edges)
+        budget = 12
+        assert maximal_cliques(g, min_size=3, containing=0, budget=budget).truncated
+        assert len(maximal_cliques(g, min_size=3, containing=0).cliques) == pairs
+        res = recover(g, 0, 3, budget=budget)
+        assert res.vertices == frozenset()
+        assert not res.truncated
+        assert res.budget_used <= budget
 
     def test_good_clique_count_bound(self):
         """When s >= 3 sqrt(n log2 n), fewer than 2n/s good cliques."""
