@@ -402,10 +402,7 @@ class AdversarySpec:
 
 def _sym_coin(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Symmetric i.i.d. Ber(p) matrix with zero diagonal."""
-    u = rng.random((n, n))
-    out = np.zeros((n, n), dtype=bool)
-    iu = np.triu_indices(n, 1)
-    out[iu] = u[iu] < p
+    out = np.triu(rng.random((n, n)) < p, 1)
     return out | out.T
 
 

@@ -16,7 +16,10 @@ superset statistics ``S(J) = sum_{J' >= J} sigma(J')``, which
 ``mobius_invert`` turns back into masses.  Every 2^s-state
 table is built one coordinate at a time over ``_halves``: subset sums by
 ``_lattice_transform``, and every "Ber(q) coins OR a forced subset" law
-by ``_or_coins``.
+by ``_or_coins``.  From s = 12 ``_halves`` walks the six lowest
+coordinates on one transposed copy of the table, so that no pass runs
+short inner loops; the bytes are those of the plain walk.  The support is
+an up-closure of booleans by the same transform with ``np.logical_or``.
 """
 
 from __future__ import annotations
@@ -98,11 +101,39 @@ def _dense(spec: PBSpec) -> np.ndarray:
     return arr
 
 
+# ``_halves`` walks the low 6 bits of tables with s >= 12 on a transposed
+# copy; 5 to 8 low bits timed alike at s = 14-18.  Smaller tables, like the
+# coupling's likelihood rows (s <= 10), keep the plain walk.
+_LOW_BITS = 6
+_TRANSPOSED_FROM = 12
+
+
 def _halves(out: np.ndarray):
-    """Per bit b of the last axis, the (bit b clear, bit b set) halves of every
-    block as strided views.  ``out`` must be C-contiguous, so each reshape is a
-    view and not a copy; a stack of tables is walked as one."""
-    for b in range(out.shape[-1].bit_length() - 1):
+    """Per bit b of the last axis, in order, the (bit b clear, bit b set)
+    halves of every block as views that the caller updates in place.  ``out``
+    must be C-contiguous, so each reshape is a view and not a copy; a stack of
+    tables is walked as one.
+
+    A pass over bit b of ``out`` itself runs 2^(s-b-1) inner loops of 2^b
+    elements, so from s = ``_TRANSPOSED_FROM`` the low ``_LOW_BITS`` bits are
+    walked on one contiguous copy with the index transposed to (low bits,
+    high bits), where each of those loops holds at least 2^(s - _LOW_BITS)
+    elements.  Every entry still sees the same operations in the same bit
+    order, so the result is the same to the last bit.  The copy is written
+    back into ``out`` only when the loop asks for the first high bit: the
+    caller must run the loop to its end, as ``_lattice_transform``,
+    ``_or_coins`` and ``pmf_fourier_vector`` do.
+    """
+    s = out.shape[-1].bit_length() - 1
+    low = _LOW_BITS if s >= _TRANSPOSED_FROM else 0
+    if low:
+        rows = out.reshape(-1, 1 << (s - low), 1 << low)
+        work = rows.transpose(0, 2, 1).copy()  # bit b of out is bit b + s - low here
+        for b in range(s - low, s):
+            v = work.reshape(-1, 2, 1 << b)
+            yield v[:, 0, :], v[:, 1, :]
+        rows[...] = work.transpose(0, 2, 1)
+    for b in range(low, s):
         v = out.reshape(-1, 2, 1 << b)
         yield v[:, 0, :], v[:, 1, :]
 
@@ -260,19 +291,18 @@ def bernoulli_lift(q: float, q_prime: float, s: int) -> PBSpec:
 
 
 def support_vector(spec: PBSpec) -> np.ndarray:
-    """Exact support indicator over all 2^s states (no floating point)."""
+    """Exact support indicator over all 2^s states (no floating point): the
+    masks carrying mass, closed upwards by the coin flips when 0 < q < 1."""
     s, q = spec.s, spec.q
-    carriers = np.zeros(1 << s)
-    for mask, mass in spec.sigma.items():
-        if mass > 0.0:
-            carriers[mask] = 1.0
+    carriers = np.zeros(1 << s, dtype=bool)
+    carriers[[mask for mask, mass in spec.sigma.items() if mass > 0.0]] = True
     if q == 0.0:
-        return carriers > 0.0
+        return carriers
     if q == 1.0:
         out = np.zeros(1 << s, dtype=bool)
-        out[(1 << s) - 1] = carriers.sum() > 0.0
+        out[(1 << s) - 1] = carriers.any()
         return out
-    return _lattice_transform(carriers, np.add) > 0.0
+    return _lattice_transform(carriers, np.logical_or)
 
 
 def _check_pair(a: PBSpec, b: PBSpec) -> None:

@@ -41,6 +41,7 @@ from pcsemi.graph_model import (
     _path_digest,
     _rekey,
     _set_key,
+    _sym_coin,
 )
 
 
@@ -215,6 +216,21 @@ class TestClassical:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             gen_classical(3, 4, 0)
+
+
+class TestSymCoin:
+    @pytest.mark.parametrize("n", [1, 2, 50, 200, 512])
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_mirrors_the_upper_triangle_of_one_draw(self, n, p):
+        """The coins are the upper triangle of one (n, n) uniform draw taken
+        row by row, mirrored, with an empty diagonal."""
+        for seed in range(5):
+            u = np.random.default_rng(seed).random((n, n))
+            want = np.zeros((n, n), dtype=bool)
+            iu = np.triu_indices(n, 1)
+            want[iu] = u[iu] < p
+            want |= want.T
+            assert np.array_equal(_sym_coin(n, p, np.random.default_rng(seed)), want)
 
 
 class TestSemirandom:

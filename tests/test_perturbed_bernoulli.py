@@ -32,7 +32,15 @@ from pcsemi.perturbed_bernoulli import (
     random_spec,
     superset_sum,
 )
-from pcsemi.perturbed_bernoulli import _lattice_transform, _popcounts
+from pcsemi import perturbed_bernoulli
+from pcsemi.perturbed_bernoulli import (
+    _TRANSPOSED_FROM,
+    _halves,
+    _lattice_transform,
+    _or_coins,
+    _popcounts,
+    support_vector,
+)
 
 
 def brute_pmf(spec: PBSpec, x) -> float:
@@ -342,6 +350,128 @@ class TestLatticeTransform:
         assert not np.array_equal(work, values)
         _lattice_transform(work, np.subtract, superset=superset)
         assert np.array_equal(work, values)
+
+
+def plain_halves(out):
+    """Every bit of the last axis in place on ``out``, one strided pass each:
+    the layout the transposed low-bit walk of ``_halves`` must reproduce."""
+    for b in range(out.shape[-1].bit_length() - 1):
+        v = out.reshape(-1, 2, 1 << b)
+        yield v[:, 0, :], v[:, 1, :]
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestHalvesLayout:
+    """Every caller of ``_halves`` gives the same bytes as with a plain
+    per-bit loop, below and above the dimension where the low bits move to
+    a transposed copy, on single tables and on stacks."""
+
+    @staticmethod
+    def both(monkeypatch, run):
+        """``run()`` through ``_halves``, then through ``plain_halves``."""
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(perturbed_bernoulli, "_halves", plain_halves)
+            want = run()
+        return got, want
+
+    @staticmethod
+    def tables(s):
+        rng = np.random.default_rng(s)
+        yield rng.random(1 << s) - 0.5
+        if s >= _TRANSPOSED_FROM:
+            yield rng.random((3, 1 << s)) - 0.5
+
+    @pytest.mark.parametrize("s", range(1, MAX_DIM + 1))
+    def test_or_coins_and_lattice_transforms(self, monkeypatch, s):
+        q = float(np.random.default_rng(s).uniform(0.05, 0.95))
+        calls = [lambda t: _or_coins(t, q)] + [
+            lambda t, op=op, sup=sup: _lattice_transform(t, op, superset=sup)
+            for op in (np.add, np.subtract)
+            for sup in (False, True)
+        ]
+        for table in self.tables(s):
+            for fn in calls:
+                assert same_bytes(*self.both(monkeypatch, lambda: fn(table.copy())))
+
+    @pytest.mark.parametrize("s", range(1, MAX_DIM + 1))
+    def test_fourier_contraction(self, monkeypatch, s):
+        rng = np.random.default_rng(100 + s)
+        spec = random_spec(rng, s, float(rng.uniform(0.05, 0.95)), max_support=64)
+        assert same_bytes(*self.both(monkeypatch, lambda: pmf_fourier_vector(spec)))
+
+    @pytest.mark.parametrize("s", [_TRANSPOSED_FROM, MAX_DIM])
+    def test_low_bits_walk_a_copy(self, s):
+        """Above the threshold the first passes really run off ``out``, and
+        the whole walk still ends in it."""
+        out = np.zeros(1 << s)
+        walk = _halves(out)
+        lo, hi = next(walk)
+        assert not np.shares_memory(lo, out)
+        hi += 1.0
+        for _ in walk:
+            pass
+        assert np.array_equal(out, np.arange(1 << s) & 1)
+
+
+def old_support(spec):
+    """The float form ``support_vector`` had before it moved to booleans."""
+    s, q = spec.s, spec.q
+    carriers = np.zeros(1 << s)
+    for mask, mass in spec.sigma.items():
+        if mass > 0.0:
+            carriers[mask] = 1.0
+    if q == 0.0:
+        return carriers > 0.0
+    if q == 1.0:
+        out = np.zeros(1 << s, dtype=bool)
+        out[(1 << s) - 1] = carriers.sum() > 0.0
+        return out
+    return _lattice_transform(carriers, np.add) > 0.0
+
+
+def zero_mass_spec(rng, s, q):
+    """A random law plus one listed mask of mass exactly zero, which must not
+    count as support."""
+    spec = random_spec(rng, s, q, max_support=min(1 << s, 2 * s + 2))
+    sigma = dict(spec.sigma)
+    free = next((m for m in range(1 << s) if m not in sigma), None)
+    if free is not None:
+        sigma[free] = 0.0
+    return PBSpec(s=s, q=q, sigma=sigma)
+
+
+class TestSupportVector:
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0])
+    def test_matches_enumerated_up_closure(self, q):
+        rng = np.random.default_rng(int(q * 10))
+        for s in range(1, 9):
+            for _ in range(5):
+                spec = zero_mass_spec(rng, s, q)
+                carriers = [m for m, mass in spec.sigma.items() if mass > 0.0]
+                full = (1 << s) - 1
+                want = []
+                for x in range(1 << s):
+                    if q == 0.0:
+                        want.append(x in carriers)
+                    elif q == 1.0:
+                        want.append(x == full)
+                    else:
+                        want.append(any(j & x == j for j in carriers))
+                got = support_vector(spec)
+                assert got.dtype == bool
+                assert got.tolist() == want
+
+    @pytest.mark.parametrize("s", [12, 18, 20])
+    @pytest.mark.parametrize("q", [0.0, 0.4, 1.0])
+    def test_matches_float_form(self, s, q):
+        rng = np.random.default_rng(s)
+        for _ in range(3):
+            spec = zero_mass_spec(rng, s, q)
+            assert same_bytes(support_vector(spec), old_support(spec))
 
 
 class TestPowerLookup:
