@@ -33,12 +33,10 @@ from .graph_model import (  # noqa: F401
 from .recovery import (  # noqa: F401
     CliqueSet,
     RecoveryResult,
-    degree_refine,
     good_cliques,
     jaccard,
     maximal_cliques,
     recover,
-    refine_and_select,
     union_bound_probability,
 )
 from .analysis import (  # noqa: F401

@@ -33,6 +33,8 @@ from .graph_model import (
     stream,
     stream_seed,
     structure_points,
+    _check_coupled_params,
+    _coupled_size,
 )
 from .perturbed_bernoulli import (
     PBSpec,
@@ -678,8 +680,12 @@ def oracle_line_pick(instance: PlantedInstance, rng: np.random.Generator) -> fro
 def _conditioned_coupled(seed: int, t: int, n: int, m: int, k: int):
     """Coupled instance conditioned on the clique size window
     [n/2m, 2n/m]; out-of-window draws are rejected and redrawn from the
-    next attempt substream.  Raises when no clique size the generator can
-    draw lies in the window, where rejection would never stop."""
+    next attempt substream.  Each attempt decides from the size alone,
+    ``_coupled_size`` on its seed, and only an accepted attempt builds its
+    instance with ``gen_coupled``, which plants that same size.  Raises when
+    no clique size the generator can draw lies in the window, where
+    rejection would never stop."""
+    _check_coupled_params(n, m, k)
     lo, hi = n / (2.0 * m), 2.0 * n / m
     if not any(
         lo <= s <= hi and hg_pmf(s, n, m, m * m) > 0.0 for s in range(1, min(n, m) + 1)
@@ -690,9 +696,8 @@ def _conditioned_coupled(seed: int, t: int, n: int, m: int, k: int):
     attempt = 0
     while True:
         tseed = stream_seed(seed, "trial", t, attempt)
-        inst = gen_coupled(n, m, k, tseed)
-        if lo <= len(inst.clique) <= hi:
-            return inst, tseed
+        if lo <= _coupled_size(n, m, tseed) <= hi:
+            return gen_coupled(n, m, k, tseed), tseed
         attempt += 1
 
 

@@ -203,7 +203,12 @@ def design_labels(points, mode: str, m: int, k: int) -> np.ndarray:
 
 
 def _share_label(lab_l: np.ndarray, lab_r: np.ndarray) -> np.ndarray:
-    return (lab_l[:, None, :] == lab_r[None, :, :]).any(axis=2)
+    # one 2-D comparison per family, ORed in place: no (left, right,
+    # families) cube to build and reduce
+    out = np.zeros((len(lab_l), len(lab_r)), dtype=bool)
+    for f in range(lab_l.shape[1]):
+        out |= lab_l[:, f, None] == lab_r[:, f]
+    return out
 
 
 def related(left, right, mode: str, m: int, k: int) -> np.ndarray:
@@ -681,14 +686,33 @@ def hypergeometric_sample(
 _WEIGHT_BLOCK = 1 << 21
 
 
+def _check_coupled_params(n: int, m: int, k: int) -> None:
+    _check_lines_params(n, m, k)
+    if n < 1:
+        raise ValueError(f"need n >= 1 to expose a clique, got n={n}")
+
+
+def _coupled_size(n: int, m: int, seed: int) -> int:
+    """The clique size ``gen_coupled(n, m, k, seed)`` plants: a
+    hypergeometric count of the m planted-line points among n of the m^2,
+    from the "size" stream, redrawn while it is 0.  It reads no other
+    stream, so a caller can decide on the size before building anything."""
+    size_rng = stream(seed, "size")
+    s = hypergeometric_sample(n, m, m * m, size_rng)
+    while s == 0:
+        s = hypergeometric_sample(n, m, m * m, size_rng)
+    return s
+
+
 def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
     """Semi-random instance coupled to the line null model.
 
     A random line carries the planted clique; cross edges are fair coins;
     each remaining vertex receives a latent point drawn from the null
     conditional given its realized column; leftover edges follow the null
-    rule (aligned -> edge, else Ber(q)).  A drawn clique size of zero is
-    rejected and redrawn so the instance always exposes a clique.
+    rule (aligned -> edge, else Ber(q)).  The clique size is
+    ``_coupled_size(n, m, seed)``, which redraws a size of zero so the
+    instance always exposes a clique.
 
     The outside vertices, in index order, take the draws of
     ``conditional_assignment`` in three passes.  The first draws each
@@ -699,18 +723,12 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
     picks by cumulative sum, or, when they are all zero, by a uniform index
     from the vertex's re-keyed "point" stream.
     """
-    _check_lines_params(n, m, k)
-    if n < 1:
-        raise ValueError(f"need n >= 1 to expose a clique, got n={n}")
+    _check_coupled_params(n, m, k)
     q = line_rate(m, k)
     line_rng = stream(seed, "line")
     rstar = int(line_rng.integers(k))
     hstar = int(line_rng.integers(m))
-
-    size_rng = stream(seed, "size")
-    s = hypergeometric_sample(n, m, m * m, size_rng)
-    while s == 0:
-        s = hypergeometric_sample(n, m, m * m, size_rng)
+    s = _coupled_size(n, m, seed)
 
     members = _choose_clique(n, s, seed)
     line = structure_points((rstar, hstar), m)
@@ -720,12 +738,12 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
         mode="lines", m=m, k=k, q=q, planted=(rstar, hstar), clique_points=cpts
     )
     points: dict[int, Point] = {int(v): cpts[j] for j, v in enumerate(members)}
-    outside = np.delete(np.arange(n), members)
+    outside = np.delete(np.arange(n), members).tolist()
     rng = np.random.Generator(np.random.Philox(_zero_seed()))  # re-keyed per draw
     columns = np.zeros((len(outside), s), dtype=bool)
-    for x, key in enumerate(_part_keys(seed, "column", outside.tolist())):
+    for x, key in enumerate(_part_keys(seed, "column", outside)):
         columns[x] = _set_key(rng, key).random(s) < 0.5
-    point_keys = _part_keys(seed, "point", outside.tolist())
+    point_keys = _part_keys(seed, "point", outside)
     uniforms = [_set_key(rng, key).random() for key in point_keys]
 
     free = state.free.copy()
@@ -737,14 +755,15 @@ def gen_coupled(n: int, m: int, k: int, seed: int) -> PlantedInstance:
             # summed over the gathered candidates alone: zeros interleaved
             # would change the pairwise sum's rounding
             w = row[cands]
-            total = w.sum()
+            total = np.add.reduce(w)
             if total <= 0.0:
                 pick = int(_set_key(rng, point_keys[x]).integers(len(cands)))
             else:
                 u = uniforms[x] * total
                 pick = min(int(w.cumsum().searchsorted(u, side="right")), len(cands) - 1)
-            free[cands[pick]] = False
-            points[int(outside[x])] = divmod(int(cands[pick]), m)
+            i = int(cands[pick])
+            free[i] = False
+            points[outside[x]] = divmod(i, m)
     cross = np.zeros((n, n), dtype=bool)
     cross[np.ix_(outside, members)] = columns
 

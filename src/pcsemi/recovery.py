@@ -1,6 +1,5 @@
 """Clique recovery: maximal-clique enumeration, the good-clique rule,
-degree refinement of externally supplied candidate sets, Jaccard scoring,
-and the exact tail sum behind the disjointness guarantee.
+Jaccard scoring, and the exact tail sum behind the disjointness guarantee.
 
 A clique of size >= s is *good* when no other listed clique of size >= s
 meets it in more than thr = floor(3 log2 n) vertices; recovery outputs the
@@ -8,8 +7,7 @@ unique good clique holding the revealed vertex, or the empty set.  The rule
 is written once: ``_unspoiled`` drops the candidates that another listed set
 meets in more than thr vertices, and ``unique_holding`` picks the one
 survivor through v.  ``good_cliques`` (on the whole-graph listing, the
-reference that also counts every good clique), ``recover`` and
-``refine_and_select`` all use them.
+reference that also counts every good clique) and ``recover`` both use them.
 
 ``recover`` avoids listing every clique of size >= s: only a clique above
 thr vertices can spoil, so one search lists the maximal cliques of size >=
@@ -24,11 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-import numpy as np
-
-from .graph_model import Graph, is_clique
+from .graph_model import Graph
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -284,38 +280,6 @@ def recover(graph: Graph, v: int, s: int, budget: int = DEFAULT_BUDGET) -> Recov
         budget_used=big.budget_used + search.nodes,
         truncated=search.truncated,
     )
-
-
-def degree_refine(graph: Graph, candidate: Iterable[int], s: int) -> frozenset[int]:
-    """Vertices adjacent to at least ceil(7s/8) members of the candidate set."""
-    members = sorted(set(int(u) for u in candidate))
-    if not members:
-        raise ValueError("candidate set must be nonempty")
-    thr = math.ceil(7 * s / 8)
-    counts = graph.adj[:, members].sum(axis=1)
-    return frozenset(int(u) for u in np.flatnonzero(counts >= thr))
-
-
-def refine_and_select(
-    graph: Graph, candidates: Sequence[Iterable[int]], v: int, s: int
-) -> frozenset[int]:
-    """Degree-refine externally supplied candidate sets, drop non-cliques and
-    overlapping pairs, and return the unique survivor containing v.
-
-    Refined sets are deduplicated first: corrupted copies of the same clique
-    refine to identical sets, which are one candidate, not an overlapping
-    pair.
-    """
-    refined: list[frozenset[int]] = []
-    for cand in candidates:
-        members = set(int(u) for u in cand)
-        if not members:
-            continue
-        tightened = degree_refine(graph, members, s)
-        if len(tightened) >= s and is_clique(graph, tightened):
-            refined.append(tightened)
-    refined = sorted(set(refined), key=lambda c: tuple(sorted(c)))
-    return unique_holding(_unspoiled(refined, refined, intersection_threshold(graph.n)), v)
 
 
 def jaccard(a: Iterable[int], b: Iterable[int]) -> float:

@@ -34,7 +34,7 @@ from pcsemi.analysis import (
     reference_law,
     tv_from_kl,
 )
-from pcsemi.analysis import _column_likelihoods, _expected_column_kl
+from pcsemi.analysis import _column_likelihoods, _conditioned_coupled, _expected_column_kl
 from pcsemi.graph_model import (
     AssignmentState,
     bowtie,
@@ -42,7 +42,9 @@ from pcsemi.graph_model import (
     grid_rate,
     line_rate,
     related,
+    stream_seed,
     structure_points,
+    _coupled_size,
 )
 from pcsemi.perturbed_bernoulli import _or_coins, kl_exact, superset_sum
 
@@ -828,3 +830,56 @@ class TestJaccardExperiments:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
+
+
+def build_then_check_coupled(seed, t, n, m, k):
+    """Reference for ``_conditioned_coupled``: every attempt builds its whole
+    instance and the first whose clique size lies in [n/2m, 2n/m] is kept.
+    Also returns the number of rejected attempts."""
+    lo, hi = n / (2.0 * m), 2.0 * n / m
+    attempt = 0
+    while True:
+        tseed = stream_seed(seed, "trial", t, attempt)
+        inst = gen_coupled(n, m, k, tseed)
+        if lo <= len(inst.clique) <= hi:
+            return inst, tseed, attempt
+        attempt += 1
+
+
+class TestConditionedCoupled:
+    # the last window, [1, 4], has sizes on both of its ends
+    @pytest.mark.parametrize("n, m, k", [(50, 11, 3), (30, 11, 2), (55, 11, 5), (22, 11, 2)])
+    def test_matches_build_then_check(self, n, m, k):
+        """Deciding from the size draw alone keeps the instance and the seed
+        the build-then-check loop keeps, byte for byte; rejected attempts
+        are seen on every configuration."""
+        rejected = 0
+        for seed in range(200):
+            inst, tseed = _conditioned_coupled(seed, 3, n, m, k)
+            ref, ref_tseed, attempts = build_then_check_coupled(seed, 3, n, m, k)
+            rejected += attempts
+            assert tseed == ref_tseed
+            assert inst.graph.rows.tobytes() == ref.graph.rows.tobytes()
+            assert inst.clique == ref.clique and inst.revealed == ref.revealed
+            assert inst.grid == ref.grid
+        assert rejected > 0
+
+    def test_bad_parameters_raise_before_any_draw(self, monkeypatch):
+        """The generator's parameter checks run before the rejection loop:
+        a bad m, k or n raises on the first call without drawing a size, so
+        an attempt rejected on size alone cannot hide it."""
+        n, m = 30, 11
+
+        def no_draw(*args):
+            raise AssertionError("a clique size was drawn before the parameter checks")
+
+        monkeypatch.setattr("pcsemi.analysis._coupled_size", no_draw)
+        for (nn, mm, kk), match in [
+            ((n, 12, 2), "prime"),
+            ((n, m, 6), "2k <= m"),
+            ((n, m, 1), "2 <= k"),
+            ((56, m, 2), "m\\(m-1\\)/2"),
+            ((0, m, 2), "n >= 1"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                _conditioned_coupled(0, 0, nn, mm, kk)

@@ -21,6 +21,7 @@ from pcsemi.graph_model import (
     bowtie,
     column_weights,
     conditional_assignment,
+    design_labels,
     dump_instance,
     gen_classical,
     gen_coupled,
@@ -37,10 +38,12 @@ from pcsemi.graph_model import (
     stream,
     structure_points,
     _MAX_TABLE_DIM,
+    _coupled_size,
     _part_keys,
     _path_digest,
     _rekey,
     _set_key,
+    _share_label,
     _sym_coin,
 )
 
@@ -191,6 +194,32 @@ class TestDesignRelation:
         for i, p in enumerate(pts):
             for j, r in enumerate(pts):
                 assert rel[i, j] == (p[0] == r[0] or p[1] == r[1])
+
+    @pytest.mark.parametrize(
+        "mode, k", [("grid", 2), ("lines", 1), ("lines", 2), ("lines", 3), ("lines", 4), ("lines", 5)]
+    )
+    def test_matches_label_cube_and_scalar_oracle(self, mode, k):
+        """The per-family OR equals the (left, right, families) cube reduced
+        by ``any`` and the scalar relation (``bowtie`` in line mode, a shared
+        row or column in grid mode), on empty sides too."""
+        m = 11
+        rng = np.random.default_rng(k)
+        grid = [(a, b) for a in range(m) for b in range(m)]
+        for nl, nr in [(0, 7), (9, 0), (0, 0), (1, 1), (13, 20), (len(grid), len(grid))]:
+            left = grid if nl == len(grid) else [tuple(p) for p in rng.integers(m, size=(nl, 2)).tolist()]
+            right = grid if nr == len(grid) else [tuple(p) for p in rng.integers(m, size=(nr, 2)).tolist()]
+            lab_l, lab_r = design_labels(left, mode, m, k), design_labels(right, mode, m, k)
+            cube = (lab_l[:, None, :] == lab_r[None, :, :]).any(axis=2)
+            rel = related(left, right, mode, m, k)
+            assert rel.dtype == bool and rel.shape == (nl, nr)
+            assert np.array_equal(rel, cube)
+            assert np.array_equal(_share_label(lab_l, lab_r), cube)
+            for i, p in enumerate(left):
+                for j, r in enumerate(right):
+                    if mode == "lines":
+                        assert rel[i, j] == bowtie(p, r, m, k)
+                    else:
+                        assert rel[i, j] == (p[0] == r[0] or p[1] == r[1])
 
 
 class TestClassical:
@@ -546,6 +575,18 @@ class TestCoupled:
         assert inst.graph.adj.tobytes() == adj.tobytes()
         assert inst.clique == clique and inst.revealed == revealed
         assert inst.grid.points == points and inst.grid.planted_line == line
+
+    @pytest.mark.parametrize("n, m, k", [(50, 11, 3), (30, 11, 2), (55, 11, 5), (3, 11, 2)])
+    def test_size_helper_is_the_planted_size(self, n, m, k):
+        """``_coupled_size`` gives the size the instance plants, also on
+        seeds whose first draw is zero and redrawn (most seeds at n = 3,
+        where P(s = 0) = C(110, 3) / C(121, 3) = 0.75)."""
+        redrawn = 0
+        for seed in range(200):
+            assert _coupled_size(n, m, seed) == len(gen_coupled(n, m, k, seed).clique)
+            redrawn += hypergeometric_sample(n, m, m * m, stream(seed, "size")) == 0
+        if n == 3:
+            assert redrawn > 100
 
     def test_deterministic(self):
         a, b = gen_coupled(30, 11, 3, 123), gen_coupled(30, 11, 3, 123)

@@ -1,5 +1,5 @@
-"""Tests for clique enumeration, the good-clique rule, degree refinement,
-and the union-bound tail."""
+"""Tests for clique enumeration, the good-clique rule, Jaccard scoring and
+the union-bound tail."""
 
 import math
 from fractions import Fraction
@@ -11,18 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsemi.analysis import _conditioned_coupled
-from pcsemi.graph_model import AdversarySpec, Graph, gen_coupled, gen_semirandom, stream
+from pcsemi.graph_model import AdversarySpec, Graph, gen_coupled, gen_semirandom, is_clique
 from pcsemi.recovery import (
     _colourable,
     _unspoiled,
-    degree_refine,
     good_cliques,
     intersection_threshold,
-    is_clique,
     jaccard,
     maximal_cliques,
     recover,
-    refine_and_select,
     union_bound_probability,
 )
 
@@ -506,98 +503,6 @@ class TestRecover:
             holds = any(inst.clique <= c for c in good.cliques)
             bad += not holds
         assert bad <= 2
-
-
-class TestDegreeRefine:
-    def test_planted_clique_members_survive(self):
-        inst = gen_semirandom(40, 16, AdversarySpec.empty(), 2)
-        refined = degree_refine(inst.graph, inst.clique, 16)
-        assert inst.clique <= refined
-
-    def test_isolated_candidate_gives_empty(self):
-        g = Graph(n=6, adj=np.zeros((6, 6), dtype=bool))
-        assert degree_refine(g, {0, 1, 2}, 3) == frozenset()
-
-    def test_empty_candidate_rejected(self):
-        g = Graph(n=4, adj=np.zeros((4, 4), dtype=bool))
-        with pytest.raises(ValueError):
-            degree_refine(g, [], 3)
-
-    def test_threshold_is_ceiling(self):
-        # candidate of size 4, s=4: threshold ceil(28/8)=4; a vertex adjacent
-        # to 3 of 4 members must not survive
-        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0), (4, 1), (4, 2)]
-        g = Graph.from_edges(5, edges)
-        refined = degree_refine(g, {0, 1, 2, 3}, 4)
-        assert 4 not in refined
-
-    def test_corrupted_candidate_recovers_members(self):
-        """A candidate within symmetric difference s/8 of the planted set
-        (s/16 drops plus s/16 adds) leaves every true member above the
-        degree threshold in >= 95% of semi-random trials.
-
-        The budget is the symmetric difference: with s/8 members dropped an
-        in-candidate member is only guaranteed s - s/8 - 1 < ceil(7s/8)
-        neighbors and survival would hinge on coin luck.
-        """
-        n, s = 64, 32
-        misses = 0
-        for seed in range(100):
-            inst = gen_semirandom(n, s, AdversarySpec.random(0.5), seed)
-            rng = stream(seed, "swap")
-            members = sorted(inst.clique)
-            outside = sorted(set(range(n)) - inst.clique)
-            swaps = s // 16
-            drop = rng.choice(s, size=swaps, replace=False)
-            add = rng.choice(len(outside), size=swaps, replace=False)
-            cand = set(members) - {members[int(i)] for i in drop}
-            cand |= {outside[int(i)] for i in add}
-            refined = degree_refine(inst.graph, cand, s)
-            misses += not inst.clique <= refined
-        assert misses <= 5
-
-
-class TestRefineAndSelect:
-    def test_corrupted_copy_refines_to_planted(self):
-        """A copy with one outside vertex added, and one that also drops a
-        member, both refine back to the planted clique."""
-        hits = [0, 0]
-        for seed in range(30):
-            inst = gen_semirandom(48, 16, AdversarySpec.empty(), seed)
-            rng = stream(seed, "corrupt")
-            members = sorted(inst.clique)
-            outside = sorted(set(range(48)) - inst.clique)
-            wrong = outside[int(rng.integers(len(outside)))]
-            dropped = members[int(rng.integers(len(members)))]
-            added = set(inst.clique) | {wrong}
-            for i, cand in enumerate((added, added - {dropped})):
-                got = refine_and_select(inst.graph, [cand], inst.revealed, 16)
-                hits[i] += got == inst.clique
-        assert min(hits) >= 28
-
-    def test_empty_candidate_list(self):
-        g = complete_graph(5)
-        assert refine_and_select(g, [], 0, 3) == frozenset()
-
-    def test_two_survivors_containing_v_give_empty(self):
-        # two 5-cliques sharing only vertex 0; overlap 1 <= threshold, both
-        # survive, v in both -> empty
-        a = [0, 1, 2, 3, 4]
-        b = [0, 5, 6, 7, 8]
-        edges = [(i, j) for x, i in enumerate(a) for j in a[x + 1 :]]
-        edges += [(i, j) for x, i in enumerate(b) for j in b[x + 1 :]]
-        g = Graph.from_edges(9, edges)
-        assert refine_and_select(g, [a, b], 0, 5) == frozenset()
-
-    def test_duplicate_refinements_collapse(self):
-        """Two corrupted copies of the same clique refine to one candidate,
-        not an overlapping pair."""
-        inst = gen_semirandom(48, 16, AdversarySpec.empty(), 5)
-        outside = sorted(set(range(48)) - inst.clique)
-        c1 = set(inst.clique) | {outside[0]}
-        c2 = set(inst.clique) | {outside[1]}
-        got = refine_and_select(inst.graph, [c1, c2], inst.revealed, 16)
-        assert got == inst.clique
 
 
 class TestJaccard:
