@@ -13,7 +13,6 @@ from .perturbed_bernoulli import (  # noqa: F401
     mobius_invert,
     pb_pmf,
     pb_pmf_fourier,
-    pb_sample,
     superset_sum,
 )
 from .graph_model import (  # noqa: F401

@@ -33,14 +33,17 @@ from .graph_model import (
     stream,
     stream_seed,
     structure_points,
+    _WEIGHT_BLOCK,
     _check_coupled_params,
     _coupled_size,
 )
 from .perturbed_bernoulli import (
     PBSpec,
     bernoulli_lift,
-    kl_exact,
-    superset_sum,
+    kl_exact,  # noqa: F401  unused here; perfbench's tracer test reads analysis.kl_exact
+    pmf_vector,
+    support_vector,
+    _lattice_transform,
     _or_coins,
     _popcounts,
 )
@@ -136,14 +139,105 @@ def reference_law(q: float, s: int) -> PBSpec:
     return bernoulli_lift(q, 0.5, s)
 
 
+def _law_rows(laws) -> tuple[np.ndarray, np.ndarray]:
+    """Dense sigma rows (L, 2^s) and pi rows (L, s) of column laws sharing s."""
+    s = laws[0].spec.s
+    sigma = np.zeros((len(laws), 1 << s))
+    for row, law in zip(sigma, laws):
+        row[list(law.spec.sigma)] = list(law.spec.sigma.values())
+    return sigma, np.array([law.pi for law in laws])
+
+
+def _kl_rows(sigma: np.ndarray, ref: PBSpec) -> np.ndarray:
+    """Exact KL of PB(ref.q, row) against ``ref`` for each dense sigma row of
+    a C-contiguous stack (L, 2^s), 0 < q < 1: one up-closure of the carrying
+    masks, one ``_or_coins`` pass, and ``ref``'s support and pmf once.
+
+    Each entry is ``kl_exact`` of its row's law to the last bit: the terms
+    are the same elementwise values, a row whose pmf is positive everywhere
+    is summed along its contiguous row, as ``np.sum`` sums it, any other row
+    over its live entries alone, and a row that escapes ``ref``'s support
+    is +inf."""
+    if not 0.0 < ref.q < 1.0:
+        raise ValueError(f"row KL needs q in (0, 1), got {ref.q}")
+    support = _lattice_transform(sigma > 0.0, np.logical_or)
+    ref_support = support_vector(ref)
+    pa = np.where(support, _or_coins(sigma.copy(), ref.q), 0.0)
+    pb = np.where(ref_support, np.maximum(pmf_vector(ref), 1e-300), 0.0)
+    live = pa > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = pa * np.log(pa / pb)
+    out = terms.sum(axis=1)
+    for i in np.flatnonzero(~live.all(axis=1)).tolist():
+        out[i] = np.sum(terms[i][live[i]])
+    out[(support & ~ref_support).any(axis=1)] = math.inf
+    return out
+
+
+def _drift_rows(pi: np.ndarray, target: float) -> np.ndarray:
+    """sum_j (pi_j - target)^2 per row, summed in Python as the scalar bound
+    always was: Python's ``** 2`` is libm ``pow``, which can differ from
+    ``x * x`` in the last bit."""
+    return np.array([sum((p - target) ** 2 for p in row) for row in pi.tolist()])
+
+
+def _pair_tail_rows(sigma: np.ndarray) -> np.ndarray:
+    """sum over |J| >= 2 of S(J) per row, from one superset transform of the
+    stack.  The selected columns are copied to contiguous rows so that each
+    row sums as ``np.sum`` sums it alone."""
+    s = sigma.shape[1].bit_length() - 1
+    stats = _lattice_transform(sigma.copy(), np.add, superset=True)
+    return np.ascontiguousarray(stats[:, _popcounts(s) >= 2]).sum(axis=1)
+
+
+def _grid_bound_rows(pi: np.ndarray, m: int) -> np.ndarray:
+    s = pi.shape[1]
+    if s > m - 6:
+        raise ValueError(f"grid bound needs s <= m - 6, got s={s}, m={m}")
+    return 3.0 * s * s / (m - 2) ** 4 + 3.0 * _drift_rows(pi, 1.0 / m)
+
+
+def _line_bound_rows(pi: np.ndarray, sigma: np.ndarray, n: int, m: int, k: int) -> np.ndarray:
+    s = pi.shape[1]
+    if 4 * k > m:
+        raise ValueError(f"line bound needs k <= m/4, got k={k}, m={m}")
+    if 2 * k * (s + 4) > m:
+        raise ValueError(f"line bound needs s <= m/(2k) - 4, got s={s}, m={m}, k={k}")
+    if 2 * n > m * (m - 1):
+        raise ValueError(f"line bound needs n <= m(m-1)/2, got n={n}, m={m}")
+    return (
+        3.0 * _drift_rows(pi, (k - 1) / m)
+        + 12.0 * k**4 * s * s / m**4
+        + 12.0 * k**2 / m**2 * _pair_tail_rows(sigma)
+    )
+
+
+def _stacks(items, s: int):
+    """``items`` in consecutive lists, each of at most ``_WEIGHT_BLOCK``
+    floats (16 MB) when every item becomes a row of 2^s."""
+    items = iter(items)
+    while block := list(itertools.islice(items, max(1, _WEIGHT_BLOCK >> s))):
+        yield block
+
+
+def column_score_rows(
+    sigma: np.ndarray, pi: np.ndarray, q: float, mode: str, n: int, m: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(exact, bound) per row of a stack of column laws sharing (s, q), given
+    as dense sigma rows (L, 2^s) and pi rows (L, s): each law's exact KL
+    against ``reference_law(q, s)`` and the local bound of ``mode`` on it,
+    grid or lines.  Every entry equals the one-law scores to the last bit."""
+    if mode == "grid":
+        bound = _grid_bound_rows(pi, m)
+    else:
+        bound = _line_bound_rows(pi, sigma, n, m, k)
+    return _kl_rows(sigma, reference_law(q, pi.shape[1])), bound
+
+
 def kl_local_bound_grid(law: ColumnLaw, m: int) -> float:
     """Grid-mode bound on the column KL against fair coins:
     3 s^2 / (m-2)^4 + 3 sum_j (pi_j - 1/m)^2, valid for s <= m - 6."""
-    s = len(law.pi)
-    if s > m - 6:
-        raise ValueError(f"grid bound needs s <= m - 6, got s={s}, m={m}")
-    drift = sum((p - 1.0 / m) ** 2 for p in law.pi)
-    return 3.0 * s * s / (m - 2) ** 4 + 3.0 * drift
+    return float(_grid_bound_rows(np.array([law.pi]), m)[0])
 
 
 def kl_local_bound_lines(law: ColumnLaw, n: int, m: int, k: int) -> float:
@@ -154,35 +248,20 @@ def kl_local_bound_lines(law: ColumnLaw, n: int, m: int, k: int) -> float:
 
     valid for k <= m/4, s <= m/(2k) - 4, n <= m(m-1)/2.
     """
-    s = len(law.pi)
-    if 4 * k > m:
-        raise ValueError(f"line bound needs k <= m/4, got k={k}, m={m}")
-    if 2 * k * (s + 4) > m:
-        raise ValueError(f"line bound needs s <= m/(2k) - 4, got s={s}, m={m}, k={k}")
-    if 2 * n > m * (m - 1):
-        raise ValueError(f"line bound needs n <= m(m-1)/2, got n={n}, m={m}")
-    target = (k - 1) / m
-    drift = sum((p - target) ** 2 for p in law.pi)
-    return (
-        3.0 * drift
-        + 12.0 * k**4 * s * s / m**4
-        + 12.0 * k**2 / m**2 * pair_tail_mass(law)
-    )
+    sigma, pi = _law_rows([law])
+    return float(_line_bound_rows(pi, sigma, n, m, k)[0])
 
 
 def pair_tail_mass(law: ColumnLaw) -> float:
     """sum over |J| >= 2 of S(J); equals sum_J (2^|J| - |J| - 1) sigma(J)."""
-    return float(superset_sum(law.spec)[_popcounts(law.spec.s) >= 2].sum())
+    return float(_pair_tail_rows(_law_rows([law])[0])[0])
 
 
 def column_scores(law: ColumnLaw, mode: str, n: int, m: int, k: int) -> tuple[float, float]:
     """(exact, bound): the column's exact KL against fair coins at its base
     rate, and the local bound of ``mode`` on it, grid or lines."""
-    if mode == "grid":
-        bound = kl_local_bound_grid(law, m)
-    else:
-        bound = kl_local_bound_lines(law, n, m, k)
-    return kl_exact(law.spec, reference_law(law.spec.q, law.spec.s)), bound
+    exact, bound = column_score_rows(*_law_rows([law]), law.spec.q, mode, n, m, k)
+    return float(exact[0]), float(bound[0])
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +271,13 @@ def column_scores(law: ColumnLaw, mode: str, n: int, m: int, k: int) -> tuple[fl
 
 @dataclass(frozen=True)
 class BoundLedger:
-    """Per-column and aggregate comparison of exact KL against its bound."""
+    """Per-column and aggregate comparison of exact KL against its bound.
+
+    The fields fixed by the configuration (``column_index``, the closed-form
+    terms and total, the hypotheses and the Pinsker cap) are built once per
+    configuration and shared by its ledgers, so a caller that keeps many
+    ledgers holds about 5 KB for each instead of 6 KB (n = 60): read the
+    two dicts, do not mutate them."""
 
     mode: str
     n: int
@@ -270,19 +355,26 @@ def chained_kl_bound(
         raise ValueError(f"need n - s - 1 <= m^2 - m, got n={n}, s={s}, m={m}")
     per_exact = np.zeros((trials, cols))
     per_bound = np.zeros((trials, cols))
-    for t in range(trials):
-        rng = stream(seed, "chain", t)
-        state = random_prefix_state(rng, mode, m, k, s, 0)
-        cands = np.flatnonzero(state.free).tolist()
-        for idx in range(cols):
-            per_exact[t, idx], per_bound[t, idx] = column_scores(column_law(state), mode, n, m, k)
-            if idx < cols - 1:
-                pick = cands.pop(int(rng.integers(len(cands))))
-                state = state.with_point(divmod(pick, m))
+
+    def laws():
+        for t in range(trials):
+            rng = stream(seed, "chain", t)
+            state = random_prefix_state(rng, mode, m, k, s, 0)
+            cands = np.flatnonzero(state.free).tolist()
+            for idx in range(cols):
+                yield column_law(state)
+                if idx < cols - 1:
+                    pick = cands.pop(int(rng.integers(len(cands))))
+                    state = state.with_point(divmod(pick, m))
+
+    done = 0
+    for block in _stacks(laws(), s):
+        exact, bound = column_score_rows(*_law_rows(block), block[0].spec.q, mode, n, m, k)
+        per_exact.flat[done:done + len(block)] = exact
+        per_bound.flat[done:done + len(block)] = bound
+        done += len(block)
     totals_exact = per_exact.sum(axis=1)
     totals_bound = per_bound.sum(axis=1)
-    terms, hyp = closed_form_chain_terms(mode, n, m, k, s)
-    total = sum(terms.values())
     return BoundLedger(
         mode=mode,
         n=n,
@@ -291,13 +383,23 @@ def chained_kl_bound(
         s=s,
         trials=trials,
         seed=seed,
-        column_index=tuple(range(s + 1, n + 1)),
         per_column_exact=tuple(per_exact.mean(axis=0)),
         per_column_bound=tuple(per_bound.mean(axis=0)),
         chained_exact=float(totals_exact.mean()),
         chained_exact_stderr=float(totals_exact.std(ddof=1) / math.sqrt(trials)),
         chained_bound=float(totals_bound.mean()),
         chained_bound_stderr=float(totals_bound.std(ddof=1) / math.sqrt(trials)),
+        **_configuration_fields(mode, n, m, k, s),
+    )
+
+
+@lru_cache(maxsize=16)
+def _configuration_fields(mode: str, n: int, m: int, k: int, s: int) -> dict:
+    """The ``BoundLedger`` fields that the configuration alone fixes."""
+    terms, hyp = closed_form_chain_terms(mode, n, m, k, s)
+    total = sum(terms.values())
+    return dict(
+        column_index=tuple(range(s + 1, n + 1)),
         closed_form_terms=terms,
         closed_form_total=total,
         hypotheses=hyp,
@@ -313,7 +415,9 @@ def chained_kl_bound(
 _MAX_ASSIGNMENTS = 4_000_000
 # table cells the exact coupled law adds up, about a minute of numpy work
 _MAX_TABLE_CELLS = 1 << 34
-# column laws (or subsets) exact_chain_rhs may build, ~150 us each: ~45 s
+# column laws (or clique-point subsets) exact_chain_rhs may take on.  Stacked,
+# a law scores in about 9 us (the 286,628 laws of (22, 7, grid) took 2.5 s on
+# a 2-core Xeon), and a line-mode subset builds its column_law in about 65 us
 _MAX_CHAIN_LAWS = 300_000
 _MAX_GRAPH_N = 7  # a graph law is a table of 2^C(n,2) floats, 2^21 at n = 7
 
@@ -595,18 +699,22 @@ def _expected_column_kl(counts, d, ref) -> float:
     room = [sum(sizes[j + 1:]) for j in range(len(sizes))]
     denom = sum(sizes) - d
     total_ways = comb(denom + d, d)
-    out = 0.0
 
     def rec(j, left, ways, taken):
-        nonlocal out
         if j == len(sizes):  # the last class took all that was left
-            sigma = {f: (c - x) / denom for f, c, x in zip(masks, sizes, taken) if c > x}
-            out += ways / total_ways * kl_exact(PBSpec(ref.s, ref.q, sigma), ref)
+            yield ways, taken
             return
         for x in range(max(0, left - room[j]), min(sizes[j], left) + 1):
-            rec(j + 1, left - x, ways * comb(sizes[j], x), taken + [x])
+            yield from rec(j + 1, left - x, ways * comb(sizes[j], x), taken + [x])
 
-    rec(0, d, 1, [])
+    # the weighted KLs are added one by one in the order of the removal vectors
+    out = 0.0
+    for block in _stacks(rec(0, d, 1, []), ref.s):
+        ways, taken = zip(*block)
+        sigma = np.zeros((len(block), 1 << ref.s))
+        sigma[:, masks] = (np.array(sizes) - np.array(taken)) / denom
+        for w, kl in zip(ways, _kl_rows(sigma, ref).tolist()):
+            out += w / total_ways * kl
     return out
 
 

@@ -9,7 +9,7 @@ empty set.
 
 Provided here: the exact pmf in two algebraically distinct forms (the direct
 sum over perturbations and a signed product form driven by superset
-statistics), a sampler, exact KL and chi-squared divergences by full state
+statistics), exact KL and chi-squared divergences by full state
 enumeration (s <= 20), and a closed-form KL upper bound expressed through the
 superset statistics ``S(J) = sum_{J' >= J} sigma(J')``, which
 ``superset_sum`` returns as a read-only 2^s array indexed by mask and
@@ -235,17 +235,6 @@ def pmf_fourier_vector(spec: PBSpec) -> np.ndarray:
     return (q**a * (1.0 - q) ** (s - a))[_popcounts(s)] * acc
 
 
-def pb_sample(spec: PBSpec, rng: np.random.Generator) -> np.ndarray:
-    """One draw: Ber(q) coins OR a sigma-distributed forced subset."""
-    coins = rng.random(spec.s) < spec.q
-    masks = sorted(spec.sigma)
-    cum = np.cumsum([spec.sigma[m] for m in masks])
-    u = rng.random() * cum[-1]
-    jmask = masks[int(np.searchsorted(cum, u, side="right").clip(0, len(masks) - 1))]
-    forced = np.array([(jmask >> j) & 1 for j in range(spec.s)], dtype=bool)
-    return (coins | forced).astype(np.uint8)
-
-
 def superset_sum(spec: PBSpec) -> np.ndarray:
     """All superset statistics S(J) via the superset zeta transform, as a
     read-only table of 2^s floats indexed by the bit mask of J."""
@@ -366,6 +355,10 @@ def kl_bound(a: PBSpec, b: PBSpec) -> float:
     has second moment (1-q)/q under Ber(q), which exceeds its square), so
     the exact moment is used instead.  Requires identical q in (0, 1) and
     positive empty-set mass in b.
+
+    For q near 0, c(q)^|J| can overflow.  A term whose weight is infinite
+    makes the bound +inf where S(J) != T(J), and is left out where they are
+    equal, its true value being zero.
     """
     _check_pair(a, b)
     if a.q != b.q:
@@ -379,7 +372,14 @@ def kl_bound(a: PBSpec, b: PBSpec) -> float:
     s_stats = superset_sum(a)
     t_stats = superset_sum(b)
     ratio = (1.0 - q) / q
-    weights = ((ratio * max(1.0, ratio)) ** np.arange(a.s + 1))[_popcounts(a.s)]
+    with np.errstate(over="ignore"):
+        per_size = (ratio * max(1.0, ratio)) ** np.arange(a.s + 1)
+    weights = per_size[_popcounts(a.s)]
+    if np.isinf(per_size).any():
+        finite = np.isfinite(weights)
+        if np.any(~finite & (s_stats != t_stats)):
+            return math.inf
+        return float(np.dot(weights[finite], (s_stats - t_stats)[finite] ** 2) / tau0)
     return float(np.dot(weights, (s_stats - t_stats) ** 2) / tau0)
 
 

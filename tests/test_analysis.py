@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 from pcsemi.analysis import (
+    ColumnLaw,
     chained_kl_bound,
     closed_form_chain_terms,
     column_law,
     column_law_lines,
+    column_score_rows,
     exact_chain_rhs,
     exact_coupled_law,
     exact_joint_kl,
@@ -34,7 +36,13 @@ from pcsemi.analysis import (
     reference_law,
     tv_from_kl,
 )
-from pcsemi.analysis import _column_likelihoods, _conditioned_coupled, _expected_column_kl
+from pcsemi.analysis import (
+    _column_likelihoods,
+    _conditioned_coupled,
+    _expected_column_kl,
+    _kl_rows,
+    _law_rows,
+)
 from pcsemi.graph_model import (
     AssignmentState,
     bowtie,
@@ -46,7 +54,7 @@ from pcsemi.graph_model import (
     structure_points,
     _coupled_size,
 )
-from pcsemi.perturbed_bernoulli import _or_coins, kl_exact, superset_sum
+from pcsemi.perturbed_bernoulli import PBSpec, _or_coins, _popcounts, kl_exact, superset_sum
 
 
 class TestColumnLawGrid:
@@ -346,6 +354,112 @@ class TestLocalBounds:
                 assert exact <= expr + 1e-9
 
 
+def scalar_column_scores(law, mode, n, m, k):
+    """The one-law scorer before the stacked kernel: ``kl_exact`` against
+    the reference law, and the bound's sums in Python over ``law.pi`` and
+    over ``superset_sum``."""
+    s = len(law.pi)
+    if mode == "grid":
+        drift = sum((p - 1.0 / m) ** 2 for p in law.pi)
+        bound = 3.0 * s * s / (m - 2) ** 4 + 3.0 * drift
+    else:
+        drift = sum((p - (k - 1) / m) ** 2 for p in law.pi)
+        tail = float(superset_sum(law.spec)[_popcounts(s) >= 2].sum())
+        bound = 3.0 * drift + 12.0 * k**4 * s * s / m**4 + 12.0 * k**2 / m**2 * tail
+    return kl_exact(law.spec, reference_law(law.spec.q, s)), bound
+
+
+def scalar_expected_column_kl(counts, d, ref):
+    """``_expected_column_kl`` before the stacked kernel: one ``kl_exact``
+    per removal vector, added as the recursion reaches it."""
+    counts = dict(counts)
+    masks = sorted(f for f in counts if f) + [0]
+    sizes = [counts.get(f, 0) for f in masks]
+    room = [sum(sizes[j + 1:]) for j in range(len(sizes))]
+    denom = sum(sizes) - d
+    total_ways = comb(denom + d, d)
+    out = 0.0
+
+    def rec(j, left, ways, taken):
+        nonlocal out
+        if j == len(sizes):
+            sigma = {f: (c - x) / denom for f, c, x in zip(masks, sizes, taken) if c > x}
+            out += ways / total_ways * kl_exact(PBSpec(ref.s, ref.q, sigma), ref)
+            return
+        for x in range(max(0, left - room[j]), min(sizes[j], left) + 1):
+            rec(j + 1, left - x, ways * comb(sizes[j], x), taken + [x])
+
+    rec(0, d, 1, [])
+    return out
+
+
+def synthetic_law(rng, s, q, masks, empty):
+    """A column law with integer counts on random masks, built as
+    ``column_law`` builds one; ``empty`` says whether mask 0 has mass."""
+    chosen = rng.choice(np.arange(1, 1 << s), size=min(masks, (1 << s) - 1), replace=False)
+    counts = {int(f): int(c) for f, c in zip(chosen, rng.integers(1, 40, len(chosen)))}
+    if empty:
+        counts[0] = int(rng.integers(1, 200))
+    denom = sum(counts.values())
+    hits = [sum(c for f, c in counts.items() if f >> j & 1) for j in range(s)]
+    spec = PBSpec(s=s, q=q, sigma={f: c / denom for f, c in counts.items()})
+    return ColumnLaw(spec=spec, pi=tuple(h / denom for h in hits), denominator=denom, sigma_counts=counts)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestStackedScores:
+    """The stacked kernel gives every law the one-law scores to the last bit."""
+
+    # (mode, n, m, k), inside each local bound's hypotheses for s <= 12
+    CONFIGS = [("grid", 100, 19, 2), ("lines", 100, 67, 2)]
+
+    @pytest.mark.parametrize("mode,n,m,k", CONFIGS)
+    def test_matches_one_law_scores(self, mode, n, m, k):
+        """s = 1..12 (the transforms change walk at 12): sampled prefixes of
+        the design, and synthetic laws with and without mass on mask 0."""
+        rng = np.random.default_rng(23)
+        q = grid_rate(m) if mode == "grid" else line_rate(m, k)
+        for s in range(1, 13):
+            laws = [column_law(random_prefix_state(rng, mode, m, k, s, d)) for d in (0, 5, 40)]
+            laws += [synthetic_law(rng, s, q, int(rng.integers(1, 30)), empty) for empty in (True, False, False)]
+            exact, bound = column_score_rows(*_law_rows(laws), q, mode, n, m, k)
+            want = [scalar_column_scores(law, mode, n, m, k) for law in laws]
+            assert hexes(exact) == hexes(e for e, _ in want), s
+            assert hexes(bound) == hexes(b for _, b in want), s
+
+    def test_row_outside_reference_support_is_infinite(self):
+        """Against a law whose every state has coordinate 1 set, a row with
+        mass on mask 0 escapes its support; the others keep their KL."""
+        s, q = 4, 0.3
+        ref = PBSpec(s, q, {1: 0.5, 7: 0.5})
+        rows = [{0: 0.25, 1: 0.75}, {1: 0.5, 3: 0.5}, {5: 1.0}]
+        sigma = np.zeros((len(rows), 1 << s))
+        for row, masses in zip(sigma, rows):
+            row[list(masses)] = list(masses.values())
+        got = _kl_rows(sigma, ref)
+        assert got[0] == math.inf
+        assert hexes(got[1:]) == hexes(kl_exact(PBSpec(s, q, r), ref) for r in rows[1:])
+
+    @pytest.mark.parametrize("mode,m,k,s,d", [
+        ("grid", 7, 2, 3, 4), ("grid", 9, 2, 5, 8), ("lines", 7, 3, 3, 6), ("lines", 11, 2, 2, 9),
+    ])
+    def test_chain_sum_matches_one_law_sum(self, monkeypatch, mode, m, k, s, d):
+        """The chain's expected column KL equals, to the last bit, the sum
+        that scored one law per removal vector; with blocks of 64 floats the
+        removal vectors span many stacks."""
+        q = grid_rate(m) if mode == "grid" else line_rate(m, k)
+        planted = (0, 0) if mode == "grid" else (k - 1, 0)
+        counts = column_law(AssignmentState(mode, m, k, q, planted, structure_points(planted, m)[:s])).sigma_counts
+        ref = reference_law(q, s)
+        want = [scalar_expected_column_kl(counts, x, ref) for x in range(d)]
+        assert [_expected_column_kl(counts, x, ref) for x in range(d)] == want
+        monkeypatch.setattr("pcsemi.analysis._WEIGHT_BLOCK", 64)
+        assert [_expected_column_kl(counts, x, ref) for x in range(d)] == want
+
+
 def oracle_chained_grid_s2(n, m):
     """Independent oracle for the fixed-size chained exact KL at s=2:
     bivariate hypergeometric enumeration over prior occupancy counts and
@@ -521,12 +635,12 @@ class TestExactJointLaws:
         (7, 31, "lines", 3, "clique-point subsets"),
     ])
     def test_chain_rhs_work_guard(self, monkeypatch, n, m, mode, k, what):
-        """Refused from the counted work, before any column law is built."""
+        """Refused from the counted work, before any column law is scored."""
 
         def no_law(*args):
-            raise AssertionError("a column law was built")
+            raise AssertionError("a column law was scored")
 
-        monkeypatch.setattr("pcsemi.analysis.kl_exact", no_law)
+        monkeypatch.setattr("pcsemi.analysis._kl_rows", no_law)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"state space too large: .*{what}"):
             exact_chain_rhs(n, m, mode, k)

@@ -8,6 +8,7 @@ sums), never from the code under test.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,6 @@ from pcsemi.perturbed_bernoulli import (
     mobius_invert,
     pb_pmf,
     pb_pmf_fourier,
-    pb_sample,
     pmf_fourier_vector,
     pmf_vector,
     random_spec,
@@ -199,48 +199,6 @@ class TestFourierForm:
             signed = pmf_fourier_vector(spec)
             np.testing.assert_allclose(signed, direct, atol=1e-12)
             assert abs(signed.sum() - 1.0) < 1e-12
-
-
-class TestSampler:
-    def test_deterministic_perturbation(self):
-        spec = PBSpec(s=3, q=0.0, sigma={0b011: 1.0})
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert pb_sample(spec, rng).tolist() == [1, 1, 0]
-
-    def test_all_ones_at_unit_rate(self):
-        spec = PBSpec(s=4, q=1.0, sigma={0: 0.5, 0b1: 0.5})
-        rng = np.random.default_rng(0)
-        assert pb_sample(spec, rng).tolist() == [1, 1, 1, 1]
-
-    def test_empirical_matches_pmf(self):
-        """Per-state frequency within 4 standard errors over 1e5 draws."""
-        spec = PBSpec(s=2, q=0.25, sigma={0: 0.5, 0b01: 0.5})
-        rng = np.random.default_rng(123)
-        n = 100_000
-        counts = np.zeros(4)
-        for _ in range(n):
-            x = pb_sample(spec, rng)
-            counts[int(x[0]) | (int(x[1]) << 1)] += 1
-        probs = pmf_vector(spec)
-        for mask in range(4):
-            se = math.sqrt(probs[mask] * (1 - probs[mask]) / n)
-            assert abs(counts[mask] / n - probs[mask]) < 4 * se
-
-    def test_goodness_of_fit(self):
-        """Chi-squared GOF not rejected at the 1e-4 level, 1e5 draws."""
-        scipy_stats = pytest.importorskip("scipy.stats")
-        spec = PBSpec(s=3, q=0.3, sigma={0: 0.6, 0b001: 0.25, 0b110: 0.15})
-        rng = np.random.default_rng(321)
-        n = 100_000
-        counts = np.zeros(8)
-        for _ in range(n):
-            x = pb_sample(spec, rng)
-            counts[int(x[0]) | (int(x[1]) << 1) | (int(x[2]) << 2)] += 1
-        expected = pmf_vector(spec) * n
-        stat = float(((counts - expected) ** 2 / expected).sum())
-        pvalue = float(scipy_stats.chi2.sf(stat, df=7))
-        assert pvalue > 1e-4
 
 
 class TestSupersetTransform:
@@ -612,6 +570,22 @@ class TestKLBound:
         b = PBSpec(s=1, q=0.5, sigma={0b1: 1.0})
         with pytest.raises(ValueError):
             kl_bound(a, b)
+
+    def test_overflowing_weights(self):
+        """At q = 1e-100, c(q)^|J| overflows from |J| = 2.  An infinite
+        weight on a nonzero difference gives +inf, never NaN; on zero
+        differences it drops out, leaving the finite terms.  No warning."""
+        b = PBSpec(s=4, q=1e-100, sigma={0: 0.5, 0b01: 0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = PBSpec(s=4, q=1e-100, sigma={0b11: 0.5, 0b01: 0.5})
+            assert kl_exact(far, b) == pytest.approx(115.13, abs=0.01)
+            assert kl_bound(far, b) == math.inf
+            near = PBSpec(s=4, q=1e-100, sigma={0b10: 0.5, 0b01: 0.5})
+            c = (1 - 1e-100) / 1e-100 * ((1 - 1e-100) / 1e-100)
+            # only S({2}) - T({2}) = 1/2 is nonzero, at weight c
+            assert kl_bound(near, b) == pytest.approx(c * 0.25 / 0.5, rel=1e-12)
+            assert kl_exact(near, b) <= kl_bound(near, b)
 
     def test_dominates_exact_kl(self):
         rng = np.random.default_rng(31)
