@@ -36,6 +36,7 @@ from .graph_model import (
     _WEIGHT_BLOCK,
     _check_coupled_params,
     _coupled_size,
+    _weight_rows,
 )
 from .perturbed_bernoulli import (
     PBSpec,
@@ -477,15 +478,6 @@ def exact_null_law(n: int, m: int, mode: str = "grid", k: int = 2) -> np.ndarray
     return _or_coins(vec, q)
 
 
-def _column_likelihoods(state: AssignmentState) -> np.ndarray:
-    """Row i: the likelihood of every possible clique column for unused
-    candidate i, in ``unused_candidates()`` order: fair coins of rate q
-    except on the coordinates the candidate forces (the state's
-    ``likelihoods`` row of its forced mask)."""
-    rows, table = state.likelihoods
-    return table[rows[state.free]]
-
-
 def exact_coupled_law(
     n: int,
     m: int,
@@ -536,7 +528,8 @@ def exact_coupled_law(
 
     for rstar in slopes:
         line_pts = structure_points((rstar, 0), m)
-        off_pts = AssignmentState(mode, m, k, q, (rstar, 0), ()).unused_candidates()
+        free = AssignmentState(mode, m, k, q, (rstar, 0), ()).free
+        off_pts = np.stack(np.divmod(np.flatnonzero(free), m), axis=1)
         rel = related(off_pts, off_pts, mode, m, k).tolist()
         for s in sizes:
             ps = hg_pmf(s, n, m, m * m)
@@ -544,10 +537,10 @@ def exact_coupled_law(
             nn_pairs = list(itertools.combinations(range(r), 2))
             base = slope_weight * ps / comb(n, s) / _falling(m, s) * 0.5 ** (r * s)
             joint = np.zeros((1 << (r * s), 1 << len(nn_pairs)))
+            columns = ((np.arange(1 << s)[:, None] >> np.arange(s)) & 1).astype(bool)
             for spts in itertools.permutations(line_pts, s):
-                tables = _column_likelihoods(
-                    AssignmentState(mode, m, k, q, (rstar, 0), spts)
-                )
+                state = AssignmentState(mode, m, k, q, (rstar, 0), spts)
+                tables = _weight_rows(state, columns)[:, state.free].T
                 _accumulate_tuples(joint, tables, rel, r, nn_pairs, q, base)
             for S in itertools.combinations(range(n), s):
                 c_idx, nn_idx, ss_ok = _extraction_arrays(graphs, n, S, rank)
@@ -582,11 +575,12 @@ def _accumulate_tuples(joint, tables, rel, r, nn_pairs, q, base):
     """DFS over ordered tuples of r distinct candidate indices; adds each
     tuple's joint (columns, outside-completion) weight into ``joint``.
 
-    ``tables`` holds candidate i's column likelihoods in row i (see
-    ``_column_likelihoods``), ``rel[i][j]`` whether candidates i and j are
-    related, so that their vertices' edge is forced, ``nn_pairs`` the
-    outside-vertex pairs in completion-bit order, ``q`` the coin rate of an
-    unforced pair, and ``base`` the weight every tuple shares."""
+    ``tables`` holds in row i candidate i's likelihood of every clique
+    column, indexed by bit mask (``_weight_rows``), ``rel[i][j]`` whether
+    candidates i and j are related, so that their vertices' edge is forced,
+    ``nn_pairs`` the outside-vertex pairs in completion-bit order, ``q`` the
+    coin rate of an unforced pair, and ``base`` the weight every tuple
+    shares."""
     ncand, csize = tables.shape
     coins: dict[int, np.ndarray] = {}  # completion law per forced mask, built once
 

@@ -394,8 +394,9 @@ def _suite_union_bound(p):
     n, s = p["n"], p["s"]
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= --s <= --n, got --s={s}, --n={n}")
-    # the smallest integer >= 3 log2 n, in exact integer arithmetic
-    l0 = p["l0"] if p["l0"] is not None else (n**3 - 1).bit_length()
+    # the smallest integer >= 3 log2 n, in exact integer arithmetic, and at
+    # least 1, where overlaps start
+    l0 = p["l0"] if p["l0"] is not None else max(1, (n**3 - 1).bit_length())
     header = ["n", "s", "l0", "value", "cap", "ok"]
     value = union_bound_probability(n, s, l0)
     cap = 2.0 * s / n**2
@@ -403,14 +404,15 @@ def _suite_union_bound(p):
     return header, [[n, s, l0, value, cap, int(ok)]], int(not ok)
 
 
-# suite -> (sweep, defaults of the parameters the caller leaves unset)
+# suite -> (sweep, the parameters it reads, with the defaults of those the
+# caller leaves unset)
 _SUITES = {
-    "pb-bound": (_suite_pb_bound, {"trials": 500}),
-    "column-laws": (_suite_column_laws, {"trials": 50}),
-    "local-bounds": (_suite_local_bounds, {"trials": 50}),
-    "chain": (_suite_chain, {"trials": 50, "n": 5, "m": 3}),
-    "hg": (_suite_hg, {"trials": 50}),
-    "union-bound": (_suite_union_bound, {"trials": 50, "n": 1000, "s": 60}),
+    "pb-bound": (_suite_pb_bound, {"trials": 500, "seed": 0}),
+    "column-laws": (_suite_column_laws, {"trials": 50, "seed": 0}),
+    "local-bounds": (_suite_local_bounds, {"trials": 50, "seed": 0}),
+    "chain": (_suite_chain, {"n": 5, "m": 3}),
+    "hg": (_suite_hg, {}),
+    "union-bound": (_suite_union_bound, {"n": 1000, "s": 60, "l0": None}),
 }
 
 _VERIFY_PARAMS = {
@@ -425,11 +427,23 @@ _VERIFY_PARAMS = {
 }
 
 
+def _suite_flags(args: argparse.Namespace, p: dict) -> None:
+    """Refuse a command-line flag the suite does not read.  A value from a
+    manifest or ``PCSEMI_SEED`` that it does not read is dropped instead:
+    earlier manifests carry a seed and trials for every suite."""
+    reads = _SUITES[p["suite"]][1]
+    unread = [key for key in _VERIFY_PARAMS if key not in reads and key not in ("suite", "csv")]
+    given = [f"--{key}" for key in unread if getattr(args, key) is not None]
+    if given:
+        raise ValueError(f"verify {p['suite']} does not read {', '.join(given)}")
+    p.update(dict.fromkeys(unread))
+
+
 def cmd_verify(p: dict) -> tuple[int, list[Path]]:
     suite = p["suite"]
     sweep, defaults = _SUITES[suite]
     _fill_unset(p, defaults)
-    if p["trials"] < 1:
+    if "trials" in defaults and p["trials"] < 1:
         raise ValueError(f"need --trials >= 1, got {p['trials']}")
     header, rows, bad = sweep(p)
     outputs = _emit_csv(header, rows, p["csv"])
@@ -578,6 +592,8 @@ def main(argv=None) -> int:
     body, table, _ = _COMMANDS[args.command]
     try:
         params = _merge_params(args, table)
+        if args.command == "verify":
+            _suite_flags(args, params)
         code, outputs = body(params)
         _write_manifest(args.command, params, outputs, started)
     except (ValueError, MemoryError) as exc:

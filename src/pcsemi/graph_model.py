@@ -12,11 +12,11 @@ edges between a design clique and a fresh vertex look exactly like fair
 coins.
 
 Coupled generation and the column laws work on grid indices: ``_label_table``
-caches, per (mode, m, k), the m^2 grid points in (a, b) order and their
-labels, and an ``AssignmentState`` derives from it, once per lineage, the
-bit mask of clique coordinates each grid point forces and a mask of the free
-(off-structure, unassigned) points, which ``with_point`` updates in place
-of a rebuild.
+caches, per (mode, m, k), the labels of the m^2 grid points in (a, b) order,
+and an ``AssignmentState`` derives from it, once per lineage, the bit mask of
+clique coordinates each grid point forces and a mask of the free
+(off-structure, unassigned) points, which ``with_point`` updates in place of
+a rebuild.
 
 Every instance, generated or loaded, is one ``PlantedInstance``: the null
 models carry an empty clique and no revealed vertex, and ``instance_to_json``
@@ -27,11 +27,10 @@ no loops.  The semi-random outside array is a custom rule or the one stock
 fill, Ber(p) coins plus t disjoint planted s-cliques (``AdversarySpec``).
 
 The likelihood of a clique column depends on a candidate point only through
-its forced mask, which no step of a lineage changes, so an ``AssignmentState``
-also builds, lazily and once per lineage, one ``_or_coins`` table row per
-distinct mask (``likelihoods``); ``_weight_rows``, for cliques of up to
-``_MAX_TABLE_DIM`` points, and the exact coupled law read their likelihoods
-out of it.
+its forced mask, so ``_weight_rows``, the one place a column likelihood is
+computed, weighs each distinct mask once and gathers the weights to the grid
+points; ``gen_coupled``, ``column_weights`` and the exact coupled law all
+read it.
 
 Randomness: every generator derives named substreams from (seed, path) via a
 counter-based Philox generator keyed by a blake2b hash, so identical seeds
@@ -55,13 +54,13 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import combinations, compress
+from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .perturbed_bernoulli import _as_mask, _or_coins
+from .perturbed_bernoulli import _as_mask
 
 Point = tuple[int, int]
 
@@ -218,13 +217,12 @@ def related(left, right, mode: str, m: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _label_table(mode: str, m: int, k: int) -> tuple[tuple[Point, ...], np.ndarray]:
-    """The m^2 grid points in (a, b) order, entry a * m + b holding (a, b),
-    and their read-only ``design_labels``."""
-    grid = np.stack(np.divmod(np.arange(m * m), m), axis=1)
-    labels = design_labels(grid, mode, m, k)
+def _label_table(mode: str, m: int, k: int) -> np.ndarray:
+    """The read-only ``design_labels`` of the m^2 grid points in (a, b)
+    order, row a * m + b holding point (a, b)."""
+    labels = design_labels(np.stack(np.divmod(np.arange(m * m), m), axis=1), mode, m, k)
     labels.flags.writeable = False
-    return tuple(map(tuple, grid.tolist())), labels
+    return labels
 
 
 def structure_points(planted: tuple[int, int], m: int) -> list[Point]:
@@ -547,8 +545,7 @@ class AssignmentState:
     - ``free``: bool (m^2,), off the planted structure and not yet assigned.
 
     ``with_point`` hands ``masks`` on by reference and copies only ``free``,
-    so a chain of d steps builds the clique table once; it hands on
-    ``likelihoods`` the same way once a state of the chain has built it.
+    so a chain of d steps builds ``masks`` once.
     """
 
     mode: str
@@ -563,7 +560,7 @@ class AssignmentState:
 
     def __post_init__(self):
         m = self.m
-        _, labels = _label_table(self.mode, m, self.k)
+        labels = _label_table(self.mode, m, self.k)
         r, h = self.planted
         free = labels[:, r] != h % m
         forced = _share_label(labels, design_labels(self.clique_points, self.mode, m, self.k))
@@ -574,37 +571,13 @@ class AssignmentState:
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "free", free)
 
-    @cached_property
-    def likelihoods(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, table): ``table[rows[i], c]`` is the likelihood of the
-        clique column with bit mask c for grid point i, fair coins of rate q
-        except on the coordinates the point forces.  One ``_or_coins`` row
-        per distinct forced mask, built on first use: states that never
-        weigh a column, like the ledger's at s = 20, never build it."""
-        keys, rows = np.unique(self.masks, return_inverse=True)
-        table = np.zeros((len(keys), 1 << len(self.clique_points)))
-        table[np.arange(len(keys)), keys] = 1.0
-        return rows, _or_coins(table, self.q)
-
-    def unused_candidates(self) -> list[Point]:
-        """Off-structure points not yet assigned, in (a, b) lexicographic
-        order."""
-        points, _ = _label_table(self.mode, self.m, self.k)
-        return list(compress(points, self.free.tolist()))
-
     def with_point(self, p: Point) -> "AssignmentState":
         free = self.free.copy()
         free[p[0] * self.m + p[1]] = False
-        # a shallow copy, without the constructor's rebuild of the table
+        # a shallow copy, without the constructor's rebuild of ``masks``
         child = object.__new__(AssignmentState)
         child.__dict__.update(self.__dict__, prior_points=self.prior_points + (p,), free=free)
         return child
-
-
-# largest clique whose 2^s-column likelihood table ``_weight_rows`` reads:
-# at most 2^10 distinct masks x 2^10 columns, 8 MiB; a larger clique, which
-# the generators accept up to s = m, multiplies its factors out instead
-_MAX_TABLE_DIM = 10
 
 
 def column_weights(state: AssignmentState, column: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -622,29 +595,25 @@ def column_weights(state: AssignmentState, column: Sequence[int]) -> tuple[np.nd
 
 
 def _weight_rows(state: AssignmentState, columns: np.ndarray) -> np.ndarray:
-    """(len(columns), m^2) likelihoods: entry (x, a * m + b) is the weight
+    """(len(columns), m^2) column weights: entry (x, a * m + b) is the weight
     of the clique column ``columns[x]`` (a boolean row of length s) for grid
     point (a, b) with forced set J,
 
         prod_{j in J} 1[column_j = 1] * prod_{j not in J} q^{column_j} (1-q)^{1-column_j},
 
-    multiplied one coordinate at a time in j order.  Up to s =
-    ``_MAX_TABLE_DIM`` it is gathered from the state's ``likelihoods``
-    table, whose ``_or_coins`` rows multiply the same factors in the same
-    order, so the bytes agree; above it the product runs over the stacked
-    columns."""
-    s = len(state.clique_points)
-    if s <= _MAX_TABLE_DIM:
-        rows, table = state.likelihoods
-        return table[:, columns @ (1 << np.arange(s))].T[:, rows]
-    q = state.q
-    forced = (state.masks[:, None] >> np.arange(s)) & 1
+    multiplied one coordinate at a time in j order, once per distinct forced
+    mask, and gathered to the grid points: the bytes of the one-hot
+    ``_or_coins`` row of the mask, which multiplies the same factors in the
+    same order."""
+    s, q = len(state.clique_points), state.q
+    keys, rows = np.unique(state.masks, return_inverse=True)
+    forced = (keys[:, None] >> np.arange(s)) & 1
     # a forced coordinate contributes 1[column_j = 1]
-    weights = np.ones((len(columns), len(forced)))
+    weights = np.ones((len(columns), len(keys)))
     for j in range(s):
         on, off = np.where(forced[:, j], 1.0, q), np.where(forced[:, j], 0.0, 1.0 - q)
         weights *= np.where(columns[:, j, None], on, off)
-    return weights
+    return weights[:, rows]
 
 
 def conditional_assignment(

@@ -121,7 +121,7 @@ def test_c03_column_law_identities():
             state = random_prefix_state(rng, "grid", m, k, s, d)
             law = column_law(state)
             observed = {}
-            for a, b in state.unused_candidates():
+            for a, b in np.stack(np.divmod(np.flatnonzero(state.free), m), axis=1).tolist():
                 mask = sum(
                     1 << j
                     for j, (ca, cb) in enumerate(state.clique_points)

@@ -37,7 +37,6 @@ from pcsemi.analysis import (
     tv_from_kl,
 )
 from pcsemi.analysis import (
-    _column_likelihoods,
     _conditioned_coupled,
     _expected_column_kl,
     _kl_rows,
@@ -53,6 +52,7 @@ from pcsemi.graph_model import (
     stream_seed,
     structure_points,
     _coupled_size,
+    _weight_rows,
 )
 from pcsemi.perturbed_bernoulli import PBSpec, _or_coins, _popcounts, kl_exact, superset_sum
 
@@ -147,7 +147,7 @@ class TestColumnLawGrid:
             memo = {}
             for clique in itertools.combinations(structure_points(planted, m), s):
                 base = AssignmentState(mode, m, k, q, planted, clique)
-                off = base.unused_candidates()
+                off = [divmod(int(i), m) for i in np.flatnonzero(base.free)]
                 kls = [[] for _ in range(min(dmax, len(off) - 1) + 1)]  # by d
                 for state in with_subsets(base, off, len(kls) - 1):
                     d = len(state.prior_points)
@@ -217,7 +217,7 @@ class TestColumnLawLines:
     def test_exhausted_prefix_rejected(self):
         m = 7
         state = random_prefix_state(np.random.default_rng(4), "lines", m, 2, 3, m * m - m)
-        assert state.unused_candidates() == []
+        assert not state.free.any()
         with pytest.raises(ValueError, match="no unused"):
             column_law(state)
 
@@ -844,14 +844,18 @@ class TestForcedCoinKernel:
         "mode,m,k,s", [("grid", 5, 2, 3), ("lines", 7, 2, 3), ("lines", 11, 3, 4)]
     )
     def test_column_likelihoods_match_direct_sum(self, mode, m, k, s):
+        """``_weight_rows`` over all 2^s columns gives each free candidate
+        the coin table of the clique coordinates it forces."""
         q = grid_rate(m) if mode == "grid" else line_rate(m, k)
         planted = (0, 0) if mode == "grid" else (1, 0)
         clique = tuple(structure_points(planted, m)[:s])
-        off = AssignmentState(mode, m, k, q, planted, ()).unused_candidates()
-        tables = _column_likelihoods(AssignmentState(mode, m, k, q, planted, clique))
-        assert len(tables) == len(off)
-        for row, p in zip(tables, off):
-            hits = related([p], clique, mode, m, k)[0]
+        state = AssignmentState(mode, m, k, q, planted, clique)
+        columns = ((np.arange(1 << s)[:, None] >> np.arange(s)) & 1).astype(bool)
+        tables = _weight_rows(state, columns)[:, state.free].T
+        off = np.flatnonzero(state.free)
+        assert len(tables) == len(off) == m * m - m
+        for row, i in zip(tables, off.tolist()):
+            hits = related([divmod(i, m)], clique, mode, m, k)[0]
             jmask = sum(1 << j for j in range(s) if hits[j])
             assert_close(row, coin_table(jmask, s, q), 1e-14)
 

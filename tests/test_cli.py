@@ -251,9 +251,47 @@ class TestVerify:
         assert code == 0
         assert next(csv.DictReader(io.StringIO(out)))["l0"] == "181"
 
+    def test_union_bound_default_l0_at_least_one(self, capsys):
+        # 3 log2 1 = 0, but an overlap starts at one vertex
+        code, out, err = run(capsys, "verify", "union-bound", "--n", "1", "--s", "1")
+        assert code == 0 and "violations=0" in err
+        assert next(csv.DictReader(io.StringIO(out)))["l0"] == "1"
+
     def test_chain_suite(self, capsys):
         code, out, err = run(capsys, "verify", "chain", "--n", "4", "--m", "3")
         assert code == 0 and "violations=0" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["hg", "--seed", "7", "--n", "3"], "--seed, --n"),
+            (["chain", "--trials", "5"], "--trials"),
+            (["column-laws", "--m", "4"], "--m"),
+            (["local-bounds", "--s", "3"], "--s"),
+        ],
+        ids=["hg", "chain", "column-laws", "local-bounds"],
+    )
+    def test_flags_the_suite_never_reads(self, argv, named, tmp_path, capsys):
+        csv_path = tmp_path / "v.csv"
+        code, out, err = run(capsys, "verify", *argv, "--csv", str(csv_path))
+        assert_usage_error(code, err, f"does not read {named}")
+        assert out == "" and not csv_path.exists()
+
+    def test_unread_seed_from_env_or_manifest_is_dropped(self, tmp_path, capsys, monkeypatch):
+        """Only a flag is refused: a seed from PCSEMI_SEED or a manifest
+        that the suite does not read is recorded as null."""
+        monkeypatch.setenv("PCSEMI_SEED", "7")
+        manifest = tmp_path / "hg.manifest.json"
+        manifest.write_text(json.dumps(
+            {"subcommand": "verify", "params": {"suite": "hg", "seed": 3, "trials": 50}}
+        ))
+        csv_path = tmp_path / "hg.csv"
+        code, _, err = run(
+            capsys, "verify", "--manifest", str(manifest), "--csv", str(csv_path)
+        )
+        assert code == 0 and "violations=0" in err
+        written = json.loads((tmp_path / "hg.csv.manifest.json").read_text())["params"]
+        assert written["seed"] is None and written["trials"] is None
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "nonsense")

@@ -63,6 +63,10 @@ CASES = {
     "gen-coupled-200": [
         "gen", "--model", "coupled", "--n", "200", "--m", "29", "--k", "3", "--seed", "0",
     ],
+    # a 16-point clique; no other case plants a coupled clique above 10 points
+    "gen-coupled-400": [
+        "gen", "--model", "coupled", "--n", "400", "--m", "29", "--k", "5", "--seed", "1",
+    ],
     "bounds-lines": [
         "bounds", "--mode", "lines", "--n", "40", "--m", "29", "--k", "2", "--s", "3",
         "--trials", "4", "--seed", "1",
@@ -105,6 +109,7 @@ DIGESTS = {
     "experiment-recovery-upper": "fded30b64f90aaea399df4b18b69bd53cd204fc7723aa745fde977892106220a",
     "gen-classical": "719f69c1021607b545d28a358fee7793e6ba7f60e61e08fb32554bbb0aacdced",
     "gen-coupled-200": "4bf6c99b359f41b744f5f0b6e777512eee2ef12d590733179a2942d4d12116a1",
+    "gen-coupled-400": "4a911525a8b1d89ae4ce55a9ca01dd049159a80687dbbfb54d13b6d78197e276",
     "gen-coupled-50-seed0": "8a5b3e87e80f65675f488cdde14802b68e47a4fd6bc47913cee87a5294b02cf2",
     "gen-coupled-50-seed1": "a1d687d3bc5c8c938ec021e9d5256ec8c8339e5ac88f4fbda699b3f06aa44f76",
     "gen-coupled-50-seed2": "08e6b234022428fb8aa83daf3f1cec3d5bdaecaba55ebd98af2412a3bd61ca22",

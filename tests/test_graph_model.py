@@ -37,7 +37,6 @@ from pcsemi.graph_model import (
     mode_rate,
     stream,
     structure_points,
-    _MAX_TABLE_DIM,
     _coupled_size,
     _part_keys,
     _path_digest,
@@ -45,7 +44,13 @@ from pcsemi.graph_model import (
     _set_key,
     _share_label,
     _sym_coin,
+    _weight_rows,
 )
+
+
+def free_points(state):
+    """The state's unused off-structure points, in (a, b) order."""
+    return [divmod(int(i), state.m) for i in np.flatnonzero(state.free)]
 
 
 def outside_pairs(n, clique):
@@ -541,11 +546,11 @@ class TestCoupled:
     @pytest.mark.parametrize(
         "n, m, k",
         [(50, 11, 3), (30, 11, 2), (60, 13, 3), (20, 7, 2), (21, 7, 3), (100, 17, 4), (50, 11, 5), (7, 7, 2),
-         # cliques of 7 to 16 points, on both sides of _MAX_TABLE_DIM
+         # cliques of 7 to 16 points
          (250, 23, 3)],
     )
     def test_matches_per_vertex_oracle(self, n, m, k):
-        """One re-keyed generator and the likelihood table give the
+        """One re-keyed generator and the stacked column weights give the
         instance of the per-vertex loop with fresh streams, byte for byte."""
         for seed in (0, 1, 2, 97, 2**33 + 5):
             inst = gen_coupled(n, m, k, seed)
@@ -679,7 +684,7 @@ class TestConditionalAssignment:
 
     def test_no_candidates_raises(self):
         state = fresh_grid_state(3, 2)
-        for p in state.unused_candidates():
+        for p in free_points(state):
             state = state.with_point(p)
         with pytest.raises(ValueError):
             conditional_assignment(state, [0, 0], np.random.default_rng(0))
@@ -702,14 +707,13 @@ class TestAssignmentStateArrays:
         rng = np.random.default_rng(11)
         for m, k, s in [(7, 2, 2), (11, 3, 4), (13, 2, 3)]:
             base = line_state(m, k, s, rng)
-            cands = base.unused_candidates()
+            cands = free_points(base)
             prior = [cands[int(i)] for i in rng.permutation(len(cands))[: 2 * m]]
             chained = base
             for p in prior:
                 chained = chained.with_point(p)
             built = dataclasses.replace(base, prior_points=tuple(prior))
             assert built == chained
-            assert built.unused_candidates() == chained.unused_candidates()
             assert column_law(built) == column_law(chained)
             for _ in range(5):
                 column = (rng.random(s) < 0.5).astype(int)
@@ -722,19 +726,19 @@ class TestAssignmentStateArrays:
     def test_parent_unchanged_by_with_point(self):
         state = line_state(11, 2, 3, np.random.default_rng(5))
         free = state.free.copy()
-        cands = state.unused_candidates()
+        cands = free_points(state)
         child = state
         for p in cands[:40]:
             child = child.with_point(p)
         assert np.array_equal(state.free, free)
         assert state.prior_points == ()
-        assert state.unused_candidates() == cands
+        assert free_points(state) == cands
         assert child.free is not state.free and child.masks is state.masks
-        assert len(child.unused_candidates()) == len(cands) - 40
+        assert len(free_points(child)) == len(cands) - 40
 
     def test_equality_and_hash_ignore_derived_arrays(self):
         state = line_state(13, 2, 3, np.random.default_rng(8))
-        p, r = state.unused_candidates()[:2]
+        p, r = free_points(state)[:2]
         a = state.with_point(p).with_point(r)
         b = dataclasses.replace(state, prior_points=(p, r))
         assert a == b and hash(a) == hash(b)
@@ -766,9 +770,15 @@ def oracle_column_weights(state, column):
     return cands, weights
 
 
+def all_columns(s):
+    """Every clique column of length s as a boolean row, row c holding bit
+    mask c."""
+    return ((np.arange(1 << s)[:, None] >> np.arange(s)) & 1).astype(bool)
+
+
 class TestLikelihoodTable:
-    """``column_weights`` reads the lineage's ``_or_coins`` table and gives
-    the bytes of the reference product."""
+    """``_weight_rows`` weighs a stack of columns for every grid point and
+    gives the bytes of the reference product, at every clique size."""
 
     def test_matches_product_loop(self):
         from pcsemi.analysis import random_prefix_state
@@ -782,28 +792,45 @@ class TestLikelihoodTable:
             s = int(rng.integers(1, min(m, 5) + 1))
             d = int(rng.integers(0, m * m - m))
             state = random_prefix_state(rng, mode, m, k, s, d)
+            stacked = _weight_rows(state, all_columns(s))
             for cmask in range(1 << s):
                 column = [(cmask >> j) & 1 for j in range(s)]
                 cands, weights = column_weights(state, column)
                 want_cands, want = oracle_column_weights(state, column)
                 assert np.array_equal(cands, want_cands)
                 assert weights.tobytes() == want.tobytes()
+                assert stacked[cmask, cands].tobytes() == want.tobytes()
                 zero_rows += weights.sum() == 0.0
         assert zero_rows  # some column had no compatible candidate
 
     def test_large_clique_weighs_one_column(self):
-        """Above ``_MAX_TABLE_DIM`` the state builds no table and the
-        product runs for the one column."""
+        """Cliques of 10 points and more take the same path: each row of a
+        stack of random columns matches the product for that column."""
         from pcsemi.analysis import random_prefix_state
 
         rng = np.random.default_rng(61)
-        for s in (_MAX_TABLE_DIM, _MAX_TABLE_DIM + 1, 19):
+        for s in (10, 11, 19):
             state = random_prefix_state(rng, "lines", 23, 4, s, 40)
-            for _ in range(20):
-                column = (rng.random(s) < 0.5).astype(int)
-                weights = column_weights(state, column)[1]
-                assert weights.tobytes() == oracle_column_weights(state, column)[1].tobytes()
-            assert ("likelihoods" in vars(state)) == (s <= _MAX_TABLE_DIM)
+            columns = rng.random((20, s)) < 0.5
+            stacked = _weight_rows(state, columns)
+            for column, row in zip(columns.astype(int), stacked):
+                cands, want = oracle_column_weights(state, column)
+                assert column_weights(state, column)[1].tobytes() == want.tobytes()
+                assert row[cands].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", range(1, 11))
+    def test_all_columns_match_or_coins_rows(self, s):
+        """Over all 2^s columns, the weights of each grid point are the
+        one-hot ``_or_coins`` row of its forced mask, byte for byte: the
+        identity the exact coupled law relies on."""
+        from pcsemi.analysis import random_prefix_state
+        from pcsemi.perturbed_bernoulli import _or_coins
+
+        state = random_prefix_state(np.random.default_rng(s), "lines", 23, 4, s, 30)
+        onehot = np.zeros((len(state.masks), 1 << s))
+        onehot[np.arange(len(state.masks)), state.masks] = 1.0
+        want = _or_coins(onehot, state.q)
+        assert _weight_rows(state, all_columns(s)).T.tobytes() == want.tobytes()
 
     def test_all_forced_zero_weights(self):
         state = fresh_grid_state(3, 3)  # every off-row point forces a coordinate
@@ -811,17 +838,6 @@ class TestLikelihoodTable:
             cands, weights = column_weights(state, column)
             assert weights.tobytes() == oracle_column_weights(state, column)[1].tobytes()
         assert column_weights(state, [0, 0, 0])[1].sum() == 0.0
-
-    def test_table_built_once_per_lineage(self):
-        state = line_state(11, 3, 4, np.random.default_rng(4))
-        assert "likelihoods" not in vars(state)
-        column_weights(state, [1, 0, 0, 1])
-        rows, table = state.likelihoods
-        assert table.shape == (len(np.unique(state.masks)), 16)
-        child = state.with_point(state.unused_candidates()[0]).with_point(state.unused_candidates()[1])
-        assert child.likelihoods is state.likelihoods
-        assert child == dataclasses.replace(state, prior_points=child.prior_points)
-        assert "likelihoods" not in repr(child)
 
     @pytest.mark.parametrize("column", [[0, 2, 1], [0.5, 1, 0], [1, -1, 0], np.array([0, 1, 3])])
     def test_non_binary_column_refused(self, column):
