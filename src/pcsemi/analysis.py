@@ -779,15 +779,11 @@ def oracle_line_pick(instance: PlantedInstance, rng: np.random.Generator) -> fro
     return frozenset(np.flatnonzero(labels[:, r] == labels[instance.revealed, r]).tolist())
 
 
-def _conditioned_coupled(seed: int, t: int, n: int, m: int, k: int):
-    """Coupled instance conditioned on the clique size window
-    [n/2m, 2n/m]; out-of-window draws are rejected and redrawn from the
-    next attempt substream.  Each attempt decides from the size alone,
-    ``_coupled_size`` on its seed, and only an accepted attempt builds its
-    instance with ``gen_coupled``, which plants that same size.  Raises when
-    no clique size the generator can draw lies in the window, where
-    rejection would never stop."""
-    _check_coupled_params(n, m, k)
+@lru_cache(maxsize=64)
+def _size_window(n: int, m: int) -> tuple[float, float]:
+    """The clique size window [n/2m, 2n/m] of the coupled experiment,
+    decided once per (n, m); raises when no clique size the generator can
+    draw lies in it, where rejection would never stop."""
     lo, hi = n / (2.0 * m), 2.0 * n / m
     if not any(
         lo <= s <= hi and hg_pmf(s, n, m, m * m) > 0.0 for s in range(1, min(n, m) + 1)
@@ -795,6 +791,19 @@ def _conditioned_coupled(seed: int, t: int, n: int, m: int, k: int):
         raise ValueError(
             f"no drawable clique size lies in the window [{lo:g}, {hi:g}] for n={n}, m={m}"
         )
+    return lo, hi
+
+
+def _conditioned_coupled(seed: int, t: int, n: int, m: int, k: int):
+    """Coupled instance conditioned on the clique size window
+    [n/2m, 2n/m]; out-of-window draws are rejected and redrawn from the
+    next attempt substream.  Each attempt decides from the size alone,
+    ``_coupled_size`` on its seed, and only an accepted attempt builds its
+    instance with ``gen_coupled``, which plants that same size.  Raises, by
+    ``_size_window``, when no clique size the generator can draw lies in the
+    window."""
+    _check_coupled_params(n, m, k)
+    lo, hi = _size_window(n, m)
     attempt = 0
     while True:
         tseed = stream_seed(seed, "trial", t, attempt)
@@ -855,8 +864,11 @@ def jaccard_experiment(
         # 1 MB of resident memory, and single-threaded runs never use it
         from concurrent.futures import ProcessPoolExecutor
 
+        # about four chunks per worker: one trial per task spends more on
+        # the round trip than on the trial
+        chunk = -(-trials // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_experiment_trial, args))
+            rows = list(pool.map(_experiment_trial, args, chunksize=chunk))
     else:
         rows = [_experiment_trial(a) for a in args]
     values, runtimes = zip(*rows)

@@ -7,7 +7,8 @@ default); that table drives the parser, manifest replay and type checks.
 A run manifest (parameters, seed, version, timestamps, output digests) is
 written next to each file output; ``--manifest`` replays one, with explicit
 flags winning on conflict.  Exit codes: 0 success / all checks pass, 1 at
-least one violated inequality, 2 usage or parameter error.
+least one violated inequality, 2 usage or parameter error, 141 stdout
+closed by its reader before the output was written.
 """
 
 from __future__ import annotations
@@ -586,19 +587,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the shell's status for a process that SIGPIPE ends (128 + 13): the reader
+# of stdout closed it, as ``pcsemi verify hg | head -1`` does
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = datetime.now(timezone.utc).isoformat()
     body, table, _ = _COMMANDS[args.command]
     try:
-        params = _merge_params(args, table)
-        if args.command == "verify":
-            _suite_flags(args, params)
-        code, outputs = body(params)
-        _write_manifest(args.command, params, outputs, started)
-    except (ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            params = _merge_params(args, table)
+            if args.command == "verify":
+                _suite_flags(args, params)
+            code, outputs = body(params)
+            _write_manifest(args.command, params, outputs, started)
+        except (ValueError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # whatever is still buffered goes nowhere, so the interpreter's
+        # final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     return code
 
 

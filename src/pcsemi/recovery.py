@@ -15,6 +15,9 @@ max(s, thr + 1), and a second, rooted at v, lists the candidates through v
 and stops once a second unspoiled candidate decides that the answer is
 empty.  Both searches, and the whole-graph listing, are one lazy branch and
 bound (``_CliqueSearch``) that yields each maximal clique as it finds it.
+Each call builds the searches' bit context once (``_bitsets``: neighbour
+masks, complement masks and single bits) and ``recover`` shares it between
+its two searches.  The node budget, not the graph size, bounds the work.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from typing import Iterable, Iterator
 from .graph_model import Graph
 
 DEFAULT_BUDGET = 5_000_000
+
+# a search's bit context (``_bitsets``): per vertex, the neighbour mask, the
+# complement mask and the single bit
+_Bits = tuple[list[int], list[int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -65,20 +72,28 @@ def maximal_cliques(
     discarding it.  Every listed clique is maximal and of size >= min_size
     either way.
     """
-    if graph.n > 512:
-        raise ValueError(f"enumeration capped at n <= 512, got n={graph.n}")
     if budget <= 0:
         raise ValueError("budget must be positive")
     if containing is not None and not 0 <= containing < graph.n:
         raise ValueError(f"vertex {containing} outside [0, {graph.n})")
-    nbr = graph.neighbor_masks()
-    search = _CliqueSearch(nbr, min_size, budget)
+    bits = _bitsets(graph)
+    search = _CliqueSearch(bits, min_size, budget)
     if containing is None:
         found = list(search.cliques([], (1 << graph.n) - 1))
     else:
-        found = list(search.cliques([containing], nbr[containing]))
+        found = list(search.cliques([containing], bits[0][containing]))
     ordered = tuple(sorted(found, key=lambda c: tuple(sorted(c))))
     return CliqueSet(cliques=ordered, budget_used=search.nodes, truncated=search.truncated)
+
+
+def _bitsets(graph: Graph) -> _Bits:
+    """The bit context of one call's searches, indexed by vertex u: the
+    neighbour mask N(u), the complement mask of every vertex that is neither
+    in N(u) nor u itself, and the single bit 1 << u."""
+    nbr = graph.neighbor_masks()
+    bit = [1 << u for u in range(graph.n)]
+    full = (1 << graph.n) - 1
+    return nbr, [full ^ (m | b) for m, b in zip(nbr, bit)], bit
 
 
 class _CliqueSearch:
@@ -106,11 +121,15 @@ class _CliqueSearch:
       ``done`` vertex with at most ``need`` neighbours in ``cand``, which is
       adjacent to all of no such clique.
 
-    The nodes counted are those of the peeled, colour-cut tree.
+    The nodes counted are those of the peeled, colour-cut tree.  The node
+    code reads every mask from the call's bit context (``_bitsets``), built
+    once per ``maximal_cliques`` or ``recover`` call and shared by its
+    searches: a colouring step is one AND with a complement mask, and no
+    loop shifts a bit into place.
     """
 
-    def __init__(self, nbr: list[int], min_size: int, budget: int):
-        self.nbr = nbr
+    def __init__(self, bits: _Bits, min_size: int, budget: int):
+        self.nbr, self.non, self.bit = bits
         self.min_size = max(min_size, 1)
         self.budget = budget
         self.nodes = 0
@@ -130,70 +149,72 @@ class _CliqueSearch:
             if not done and len(members) >= min_size:
                 yield frozenset(members)
             return
-        nbr = self.nbr
+        nbr, bit = self.nbr, self.bit
         need = min_size - len(members) - 1
         if need > 0:
-            cand = _peel(cand, need, nbr)
+            cand = _peel(cand, need, nbr, bit)
             if not cand:
                 return
-            if need >= 2 and _colourable(cand, need, nbr):
+            if need >= 2 and _colourable(cand, need, self.non, bit):
                 return
         pivot, best = -1, -1
         pool = cand | done
         while pool:
             u = pool.bit_length() - 1
-            pool ^= 1 << u
+            pool ^= bit[u]
             score = (cand & nbr[u]).bit_count()
             if score > best:
                 best, pivot = score, u
             if score <= need:
-                done &= ~(1 << u)
+                done &= ~bit[u]
         ext = cand & ~nbr[pivot]
         while ext:
             v = ext.bit_length() - 1
-            bit = 1 << v
-            ext ^= bit
+            b = bit[v]
+            ext ^= b
             yield from self.cliques(members + [v], cand & nbr[v], done & nbr[v])
             if self.nodes > self.budget:
                 return
-            cand ^= bit
-            done |= bit
+            cand ^= b
+            done |= b
 
 
-def _peel(cand: int, need: int, nbr: list[int]) -> int:
+def _peel(cand: int, need: int, nbr: list[int], bit: list[int]) -> int:
     """``cand`` without its vertices of fewer than ``need`` neighbours in
-    it, repeated to a fixpoint; 0 once at most ``need`` vertices remain."""
-    verts = []
+    it, repeated to a fixpoint; 0 once at most ``need`` vertices remain.
+    The first round tests each vertex as it takes the vertex's bit."""
+    size = cand.bit_count()
+    keep = []
     rest = cand
     while rest:
-        top = rest.bit_length() - 1
-        verts.append(top)
-        rest ^= 1 << top
-    while True:
-        keep = [u for u in verts if (cand & nbr[u]).bit_count() >= need]
-        if len(keep) <= need:
-            return 0
-        if len(keep) == len(verts):
+        u = rest.bit_length() - 1
+        rest ^= bit[u]
+        if (cand & nbr[u]).bit_count() >= need:
+            keep.append(u)
+    while len(keep) > need:
+        if len(keep) == size:
             return cand
+        size = len(keep)
         cand = 0
         for u in keep:
-            cand |= 1 << u
-        verts = keep
+            cand |= bit[u]
+        keep = [u for u in keep if (cand & nbr[u]).bit_count() >= need]
+    return 0
 
 
-def _colourable(cand: int, colours: int, nbr: list[int]) -> bool:
+def _colourable(cand: int, colours: int, non: list[int], bit: list[int]) -> bool:
     """Whether greedy colouring colours ``cand`` with at most ``colours``
-    classes.  Each class takes the top vertex left and strips it and its
-    neighbours from the class, so it is an independent set, and a clique in
-    ``cand`` has at most as many vertices as there are classes."""
+    classes.  Each class takes the top vertex left and keeps, of the class,
+    only ``non``[top], the vertices that are neither top nor its neighbours,
+    so it is an independent set, and a clique in ``cand`` has at most as
+    many vertices as there are classes."""
     rest = cand
     for _ in range(colours):
         cls = rest
         while cls:
             top = cls.bit_length() - 1
-            rest ^= 1 << top
-            cls &= ~nbr[top]
-            cls ^= 1 << top
+            rest ^= bit[top]
+            cls &= non[top]
         if not rest:
             return True
     return False
@@ -251,6 +272,7 @@ def recover(graph: Graph, v: int, s: int, budget: int = DEFAULT_BUDGET) -> Recov
     cliques of size >= max(s, thr + 1), and the candidates are the maximal
     cliques of size >= s through v, from a search rooted at v.  When s > thr
     every candidate is in ``big`` already and the second search does not run.
+    Both searches read the one bit context (``_bitsets``) built for the call.
 
     The rooted search stops once the answer is decided: every candidate
     holds v, so a second candidate that no spoiler rules out makes the
@@ -264,20 +286,21 @@ def recover(graph: Graph, v: int, s: int, budget: int = DEFAULT_BUDGET) -> Recov
     """
     check_query(graph.n, v, s)
     thr = intersection_threshold(graph.n)
-    big = maximal_cliques(graph, min_size=max(s, thr + 1), budget=budget)
+    bits = _bitsets(graph)
+    first = _CliqueSearch(bits, max(s, thr + 1), budget)
+    big = list(first.cliques([], (1 << graph.n) - 1))
     if s > thr:
-        near = [c for c in big.cliques if v in c]
-        vertices = unique_holding(_unspoiled(near, big.cliques, thr), v)
-        return RecoveryResult(vertices, big.budget_used, big.truncated)
-    if big.budget_used >= budget:
+        near = [c for c in big if v in c]
+        vertices = unique_holding(_unspoiled(near, big, thr), v)
+        return RecoveryResult(vertices, first.nodes, first.truncated)
+    if first.nodes >= budget:
         return RecoveryResult(frozenset(), budget + 1, True)
-    nbr = graph.neighbor_masks()
-    search = _CliqueSearch(nbr, s, budget - big.budget_used)
-    listed = search.cliques([v], nbr[v])
-    survivors = list(islice((c for c in listed if _unspoiled([c], big.cliques, thr)), 2))
+    search = _CliqueSearch(bits, s, budget - first.nodes)
+    listed = search.cliques([v], bits[0][v])
+    survivors = list(islice((c for c in listed if _unspoiled([c], big, thr)), 2))
     return RecoveryResult(
         vertices=unique_holding(survivors, v),
-        budget_used=big.budget_used + search.nodes,
+        budget_used=first.nodes + search.nodes,
         truncated=search.truncated,
     )
 

@@ -920,8 +920,9 @@ class TestJaccardExperiments:
 
     def test_empty_size_window_raises(self):
         """[5/22, 10/11] holds no clique size >= 1; rejection never ends."""
-        with pytest.raises(ValueError, match="window"):
-            jaccard_experiment("coupled", "oracle-line", 1, 0, n=5, m=11, k=2)
+        for _ in range(2):  # the window is cached; a refusal must repeat
+            with pytest.raises(ValueError, match="window"):
+                jaccard_experiment("coupled", "oracle-line", 1, 0, n=5, m=11, k=2)
 
     def test_oracle_line_pick_contains_v(self):
         inst = gen_coupled(40, 11, 3, 2)
@@ -936,6 +937,13 @@ class TestJaccardExperiments:
         parallel = jaccard_experiment(
             "coupled", "oracle-line", 8, 1, n=30, m=11, k=2, threads=2
         )
+        assert serial.values == parallel.values
+
+    def test_chunked_threads_match_one_thread(self):
+        """The pool sends trials in chunks; each trial keeps its own
+        substream, so two workers give one worker's values in order."""
+        serial = jaccard_experiment("coupled", "recover", 40, 5, n=50, m=11, k=3)
+        parallel = jaccard_experiment("coupled", "recover", 40, 5, n=50, m=11, k=3, threads=2)
         assert serial.values == parallel.values
 
     def test_import_loads_no_process_pool(self):

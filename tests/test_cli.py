@@ -7,6 +7,9 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +193,46 @@ class TestRecover:
         code, _, err = run(capsys, "recover", "--in", str(out))
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error:") and "outside" in err
+
+    def test_every_generated_size_is_recovered(self, tmp_path, capsys):
+        """``gen`` writes n = 513, above the enumeration cap the listing once
+        had; the node budget bounds the work, and the planted clique comes
+        back whole."""
+        out = tmp_path / "c.json"
+        code, _, _ = run(
+            capsys, "gen", "--model", "classical", "--n", "513", "--s", "40", "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        code, text, _ = run(capsys, "recover", "--in", str(out))
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["jaccard"] == 1.0 and payload["truncated"] is False
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early (``pcsemi verify hg | head -1``)
+    ends the run quietly with the SIGPIPE status, never with a traceback or
+    the codes 0, 1 (a violated bound) and 2 (bad input)."""
+
+    @pytest.mark.parametrize(
+        # verify hg writes about 95 kB as it runs; union-bound writes one
+        # short row that reaches the pipe only at the final flush
+        "argv", [["verify", "hg"], ["verify", "union-bound"]], ids=["long", "short"]
+    )
+    def test_closed_stdout_exits_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pcsemi.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert "Traceback" not in done.stderr and "Error" not in done.stderr
 
 
 class TestVerify:

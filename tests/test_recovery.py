@@ -1,6 +1,7 @@
 """Tests for clique enumeration, the good-clique rule, Jaccard scoring and
 the union-bound tail."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from pcsemi.analysis import _conditioned_coupled
 from pcsemi.graph_model import AdversarySpec, Graph, gen_coupled, gen_semirandom, is_clique
 from pcsemi.recovery import (
+    _bitsets,
     _colourable,
     _unspoiled,
     good_cliques,
@@ -186,11 +188,11 @@ class TestMaximalCliques:
     def test_peeling_keeps_recovery_search_small(self):
         """A recovery-n200 benchmark instance (n = 200, s = 30, two decoy
         cliques, seed 1): 49,527 nodes without the degree peel, 2,688 with
-        it, and about 389 with the colouring cut after it."""
+        it, and 389 with the colouring cut after it."""
         g = gen_semirandom(200, 30, AdversarySpec.extra_cliques(2), 1).graph
         first = maximal_cliques(g, min_size=30)
         assert not first.truncated
-        assert first.budget_used < 1_000
+        assert first.budget_used == 389
         assert maximal_cliques(g, min_size=30).budget_used == first.budget_used
 
     def test_colouring_bounds_the_clique_number(self):
@@ -204,7 +206,7 @@ class TestMaximalCliques:
             adj = np.zeros((n, n), dtype=bool)
             iu = np.triu_indices(n, 1)
             adj[iu] = rng.random(len(iu[0])) < rng.uniform(0.2, 0.9)
-            nbr = Graph(n=n, adj=adj | adj.T).neighbor_masks()
+            nbr, non, bit = _bitsets(Graph(n=n, adj=adj | adj.T))
             cand = int(rng.integers(1, 1 << n))
             omega = max(
                 sub.bit_count()
@@ -212,9 +214,9 @@ class TestMaximalCliques:
                 if sub & ~cand == 0
                 and all(sub & ~(nbr[v] | 1 << v) == 0 for v in range(n) if sub >> v & 1)
             )
-            assert _colourable(cand, cand.bit_count(), nbr)
+            assert _colourable(cand, cand.bit_count(), non, bit)
             for colours in range(1, cand.bit_count() + 1):
-                if _colourable(cand, colours, nbr):
+                if _colourable(cand, colours, non, bit):
                     assert omega <= colours
                     tight += omega == colours
         assert tight > 0
@@ -283,6 +285,90 @@ class TestMaximalCliques:
         for i, c in enumerate(cliques):
             for d in cliques[i + 1 :]:
                 assert not (c < d or d < c)
+
+
+def _digest(records) -> str:
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+def _recovered(res):
+    return (tuple(sorted(res.vertices)), res.budget_used, res.truncated)
+
+
+def _listed(cs):
+    return (tuple(tuple(sorted(c)) for c in cs.cliques), cs.budget_used, cs.truncated)
+
+
+def _op_seed(name, seed, index):
+    """The benchmark's operation seed (``perfbench.workloads.op_seed``)."""
+    d = hashlib.blake2b(f"{name}/{seed}/{index}".encode(), digest_size=8).digest()
+    return int.from_bytes(d, "big") >> 2
+
+
+_BUDGETS = (1, 5, 50, 200, 400)
+
+
+class TestSearchTreePinned:
+    """The search tree itself, pinned: every listed clique, ``budget_used``
+    and truncation flag of ``maximal_cliques`` and every field of
+    ``recover`` on a fixed corpus, full runs and truncating budgets, as a
+    sha256 of the sorted tuples.  A change that only makes search nodes
+    cheaper keeps these; one that visits other nodes moves them."""
+
+    def test_recovery_n200_inputs(self):
+        """The benchmark's first 30 recovery-n200 operations (run seed 1)."""
+        results, listings = [], []
+        for i in range(30):
+            inst = gen_semirandom(200, 30, AdversarySpec.extra_cliques(2), _op_seed("recovery-n200", 1, i))
+            results.append(_recovered(recover(inst.graph, inst.revealed, 30)))
+            for budget in _BUDGETS:
+                results.append(_recovered(recover(inst.graph, inst.revealed, 30, budget=budget)))
+            listings.append(_listed(maximal_cliques(inst.graph, min_size=30)))
+        assert sum(r[1] for r in results[:: len(_BUDGETS) + 1]) == 12_642
+        assert _digest(results) == "ca389ad8392cb360dce3a4e47298e6421ca032f618c53b0fd065857553fd64fb"
+        assert _digest(listings) == "fe299bbacfbad0d19354c3e1acf07c81e41e932bf2d4d9655940f6882b35123a"
+
+    def test_conditioned_coupled_instances(self):
+        """200 lower-bound experiment instances at (n, m, k) = (50, 11, 3)."""
+        results = []
+        for seed in range(200):
+            inst, _ = _conditioned_coupled(seed, 0, 50, 11, 3)
+            s = len(inst.clique)
+            results.append(_recovered(recover(inst.graph, inst.revealed, s)))
+            for budget in _BUDGETS[:3]:
+                results.append(_recovered(recover(inst.graph, inst.revealed, s, budget=budget)))
+        assert _digest(results) == "13753e005f552b1246a1817194e354d9a9d7e0a910a2d76c9fcb3f1445ed98ab"
+
+    def test_semirandom_instances(self):
+        """100 instances of gen_semirandom(60, 8, random:0.5)."""
+        results = []
+        for seed in range(100):
+            inst = gen_semirandom(60, 8, AdversarySpec.random(0.5), seed)
+            results.append(_recovered(recover(inst.graph, inst.revealed, 8)))
+            for budget in _BUDGETS:
+                results.append(_recovered(recover(inst.graph, inst.revealed, 8, budget=budget)))
+        assert _digest(results) == "4ecb5ccbd5ff5d8b903de2b3386cc46bf620175960d3203c726ed98082e2a30a"
+
+    def test_dense_random_graphs(self):
+        """64 G(n, p) graphs with n = 8..39 and p in [0.3, 0.9]: whole-graph
+        and rooted listings at min sizes 1, 3 and 5, and recovery."""
+        rng = np.random.default_rng(71)
+        results, listings = [], []
+        for trial in range(64):
+            n = 8 + trial % 32
+            adj = np.triu(rng.random((n, n)) < rng.uniform(0.3, 0.9), 1)
+            g = Graph(n=n, adj=adj | adj.T)
+            v, s = int(rng.integers(n)), int(rng.integers(1, 8))
+            for min_size in (1, 3, 5):
+                listings.append(_listed(maximal_cliques(g, min_size=min_size)))
+                listings.append(_listed(maximal_cliques(g, min_size=min_size, containing=v)))
+                for budget in _BUDGETS[:3]:
+                    listings.append(_listed(maximal_cliques(g, min_size=min_size, budget=budget)))
+            results.append(_recovered(recover(g, v, s)))
+            for budget in _BUDGETS:
+                results.append(_recovered(recover(g, v, s, budget=budget)))
+        assert _digest(results) == "b5cd8eb8a681c5960c042bd39c34618eee1beed535265f79ee7488f97cb1d19d"
+        assert _digest(listings) == "1f53c233296d23e9b0ea319bc20469b9de60557a3bbeaa57b77d9b6c1c9af147"
 
 
 class TestGoodCliques:
