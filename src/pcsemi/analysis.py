@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -342,8 +343,10 @@ def chained_kl_bound(
     closed-form aggregate.
 
     Exact and bound are evaluated on the same sampled prefixes, so the
-    entrywise inequality is inherited by the estimates.
+    entrywise inequality is inherited by the estimates.  Grid mode has two
+    line families, so it runs with k = 2 whatever ``k`` is.
     """
+    k = 2 if mode == "grid" else k
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     if not 1 <= s < n:
@@ -859,15 +862,18 @@ def jaccard_experiment(
     if threads < 1:
         raise ValueError(f"need threads >= 1, got threads={threads}")
     args = [(model, estimator, seed, t, n, s, m, k, adversary) for t in range(trials)]
-    if threads > 1:
+    # the pool starts every worker at its first task, so never more than
+    # there are trials or CPUs
+    workers = min(threads, trials, os.cpu_count() or 1) if threads > 1 else 1
+    if workers > 1:
         # imported here: multiprocessing costs every ``import pcsemi`` about
         # 1 MB of resident memory, and single-threaded runs never use it
         from concurrent.futures import ProcessPoolExecutor
 
         # about four chunks per worker: one trial per task spends more on
         # the round trip than on the trial
-        chunk = -(-trials // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunk = -(-trials // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_experiment_trial, args, chunksize=chunk))
     else:
         rows = [_experiment_trial(a) for a in args]

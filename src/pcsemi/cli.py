@@ -4,11 +4,15 @@ verification sweeps, chained-bound reports, and Jaccard experiments.
 Every subcommand is deterministic given its parameters and seed.  Each
 subcommand declares its parameters once, in one table of name -> (kind,
 default); that table drives the parser, manifest replay and type checks.
-A run manifest (parameters, seed, version, timestamps, output digests) is
-written next to each file output; ``--manifest`` replays one, with explicit
-flags winning on conflict.  Exit codes: 0 success / all checks pass, 1 at
-least one violated inequality, 2 usage or parameter error, 141 stdout
-closed by its reader before the output was written.
+The four commands with variants (a gen model, a verify suite, a bounds mode,
+an experiment tag) follow one flag rule: each variant names the parameters
+it reads and their defaults, and a flag that the chosen variant does not
+read is a usage error.  A run manifest (parameters, seed, version,
+timestamps, output digests) is written next to each file output;
+``--manifest`` replays one, with explicit flags winning on conflict.  Exit
+codes: 0 success / all checks pass, 1 at least one violated inequality, 2
+usage or parameter error, 141 stdout closed by its reader before the output
+was written.
 """
 
 from __future__ import annotations
@@ -169,30 +173,67 @@ def _merge_params(args: argparse.Namespace, table: dict) -> dict:
     return params
 
 
-def _fill_unset(params: dict, defaults: dict) -> None:
-    """Give each parameter still unset after the merge its preset value."""
-    params.update((key, val) for key, val in defaults.items() if params[key] is None)
+# the default of a parameter that its variant reads and that has to be given
+_REQUIRED = object()
+
+
+def _variant_params(args: argparse.Namespace, p: dict, table: dict) -> None:
+    """The flag rule of every command with variants.
+
+    The variant is the parameter whose kind is a variant table; each row of
+    that table ends with the parameters the variant reads and their
+    defaults.  A parameter that another variant reads is refused when it was
+    given as a flag, and dropped to ``None`` when it came from a manifest or
+    ``PCSEMI_SEED``, so earlier manifests still replay.  The variant's own
+    parameters still unset take its defaults, and a ``_REQUIRED`` one must
+    be given.
+    """
+    found = [key for key, (kind, _) in table.items() if isinstance(kind, dict)]
+    if not found:
+        return
+    (key,) = found
+    variants = table[key][0]
+    reads = variants[p[key]][-1]
+    unread = [
+        name for name in table
+        if name not in reads and any(name in row[-1] for row in variants.values())
+    ]
+    given = [f"--{name}" for name in unread if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{args.command} {p[key]} does not read {', '.join(given)}")
+    p.update(dict.fromkeys(unread))
+    p.update((name, default) for name, default in reads.items() if p[name] is None)
+    missing = [f"--{name}" for name in reads if p[name] is _REQUIRED]
+    if missing:
+        raise ValueError(f"{key} {p[key]} requires {', '.join(missing)}")
 
 
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
-# model -> (required parameters, instance builder)
+# model -> (instance builder, the parameters it reads, with their defaults)
 _GEN_MODELS = {
-    "classical": (("n", "s"), lambda p: gen_classical(p["n"], p["s"], p["seed"])),
+    "classical": (
+        lambda p: gen_classical(p["n"], p["s"], p["seed"]), {"n": _REQUIRED, "s": _REQUIRED}
+    ),
     "semirandom": (
-        ("n", "s"),
         lambda p: gen_semirandom(
             p["n"], p["s"], AdversarySpec.parse(p["adversary"]), p["seed"]
         ),
+        {"n": _REQUIRED, "s": _REQUIRED, "adversary": "empty"},
     ),
-    "null-grid": (("n", "m"), lambda p: gen_null_grid(p["n"], p["m"], p["seed"])),
+    "null-grid": (
+        lambda p: gen_null_grid(p["n"], p["m"], p["seed"]), {"n": _REQUIRED, "m": _REQUIRED}
+    ),
     "null-lines": (
-        ("n", "m", "k"),
         lambda p: gen_null_lines(p["n"], p["m"], p["k"], p["seed"]),
+        {"n": _REQUIRED, "m": _REQUIRED, "k": 2},
     ),
-    "coupled": (("n", "m", "k"), lambda p: gen_coupled(p["n"], p["m"], p["k"], p["seed"])),
+    "coupled": (
+        lambda p: gen_coupled(p["n"], p["m"], p["k"], p["seed"]),
+        {"n": _REQUIRED, "m": _REQUIRED, "k": 2},
+    ),
 }
 
 _GEN_PARAMS = {
@@ -200,20 +241,15 @@ _GEN_PARAMS = {
     "n": (int, None),
     "s": (int, None),
     "m": (int, None),
-    "k": (int, 2),
-    "adversary": (str, "empty"),
+    "k": (int, None),
+    "adversary": (str, None),
     "seed": (int, 0),
     "out": (str, "instance.json"),
 }
 
 
 def cmd_gen(p: dict) -> tuple[int, list[Path]]:
-    model = p["model"]
-    required, build = _GEN_MODELS[model]
-    missing = [key for key in required if p[key] is None]
-    if missing:
-        flags = ", ".join(f"--{key}" for key in missing)
-        raise ValueError(f"model {model} requires {flags}")
+    build, _ = _GEN_MODELS[p["model"]]
     text = dump_instance(instance_to_json(build(p)))
     out = Path(p["out"])
     with _open_output(out) as fh:
@@ -405,8 +441,7 @@ def _suite_union_bound(p):
     return header, [[n, s, l0, value, cap, int(ok)]], int(not ok)
 
 
-# suite -> (sweep, the parameters it reads, with the defaults of those the
-# caller leaves unset)
+# suite -> (sweep, the parameters it reads, with their defaults)
 _SUITES = {
     "pb-bound": (_suite_pb_bound, {"trials": 500, "seed": 0}),
     "column-laws": (_suite_column_laws, {"trials": 50, "seed": 0}),
@@ -428,23 +463,10 @@ _VERIFY_PARAMS = {
 }
 
 
-def _suite_flags(args: argparse.Namespace, p: dict) -> None:
-    """Refuse a command-line flag the suite does not read.  A value from a
-    manifest or ``PCSEMI_SEED`` that it does not read is dropped instead:
-    earlier manifests carry a seed and trials for every suite."""
-    reads = _SUITES[p["suite"]][1]
-    unread = [key for key in _VERIFY_PARAMS if key not in reads and key not in ("suite", "csv")]
-    given = [f"--{key}" for key in unread if getattr(args, key) is not None]
-    if given:
-        raise ValueError(f"verify {p['suite']} does not read {', '.join(given)}")
-    p.update(dict.fromkeys(unread))
-
-
 def cmd_verify(p: dict) -> tuple[int, list[Path]]:
     suite = p["suite"]
-    sweep, defaults = _SUITES[suite]
-    _fill_unset(p, defaults)
-    if "trials" in defaults and p["trials"] < 1:
+    sweep, reads = _SUITES[suite]
+    if "trials" in reads and p["trials"] < 1:
         raise ValueError(f"need --trials >= 1, got {p['trials']}")
     header, rows, bad = sweep(p)
     outputs = _emit_csv(header, rows, p["csv"])
@@ -465,11 +487,15 @@ def cmd_verify(p: dict) -> tuple[int, list[Path]]:
 # bounds
 # ---------------------------------------------------------------------------
 
+# mode -> (the parameters it reads besides the common ones, with their
+# defaults); grid mode has two line families, so it runs with k = 2
+_BOUNDS_MODES = {"grid": ({},), "lines": ({"k": 2},)}
+
 _BOUNDS_PARAMS = {
-    "mode": (("grid", "lines"), "grid"),
+    "mode": (_BOUNDS_MODES, "grid"),
     "n": (int, 20),
     "m": (int, 13),
-    "k": (int, 2),
+    "k": (int, None),
     "s": (int, 2),
     "trials": (int, 100),
     "seed": (int, 0),
@@ -528,15 +554,6 @@ _EXPERIMENT_PARAMS = {
 
 def cmd_experiment(p: dict) -> tuple[int, list[Path]]:
     model, estimator, reads = _EXPERIMENTS[p["tag"]]
-    # coupled-tag manifests once carried the adversary "empty" as a default
-    ignored = [
-        f"--{key}"
-        for key in ("n", "s", "m", "k", "adversary")
-        if key not in reads and p[key] is not None and (key, p[key]) != ("adversary", "empty")
-    ]
-    if ignored:
-        raise ValueError(f"experiment {p['tag']} does not read {', '.join(ignored)}")
-    _fill_unset(p, reads)
     result = jaccard_experiment(
         model,
         estimator,
@@ -599,8 +616,7 @@ def main(argv=None) -> int:
     try:
         try:
             params = _merge_params(args, table)
-            if args.command == "verify":
-                _suite_flags(args, params)
+            _variant_params(args, params, table)
             code, outputs = body(params)
             _write_manifest(args.command, params, outputs, started)
         except (ValueError, MemoryError) as exc:

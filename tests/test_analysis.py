@@ -535,6 +535,12 @@ class TestChainedBound:
         l2, _ = closed_form_chain_terms("lines", 50, 58, 2, 2)
         assert sum(l2.values()) < sum(l1.values())
 
+    def test_grid_mode_runs_with_two_families(self):
+        """Grid mode has two line families, so any k gives the k = 2 ledger."""
+        assert chained_kl_bound(15, 13, 5, 2, 4, 3, mode="grid") == chained_kl_bound(
+            15, 13, 2, 2, 4, 3, mode="grid"
+        )
+
     def test_lines_mode_runs(self):
         led = chained_kl_bound(30, 29, 2, 3, 20, 0, mode="lines")
         assert led.chained_exact <= led.chained_bound + 1e-9
@@ -945,6 +951,45 @@ class TestJaccardExperiments:
         serial = jaccard_experiment("coupled", "recover", 40, 5, n=50, m=11, k=3)
         parallel = jaccard_experiment("coupled", "recover", 40, 5, n=50, m=11, k=3, threads=2)
         assert serial.values == parallel.values
+
+    @pytest.mark.parametrize(
+        "threads, trials, workers",
+        [(5000, 2, 2), (5000, 40, 8), (3, 40, 3), (5000, 1, None), (1, 40, None)],
+    )
+    def test_workers_capped_by_trials_and_cpus(self, threads, trials, workers, monkeypatch):
+        """The pool starts every worker it is given, so it gets at most one
+        per trial and per CPU; one worker runs in process.  A recording
+        executor stands in for the pool, so no process starts."""
+        import concurrent.futures
+
+        seen, chunks = [], []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                chunks.append(chunksize)
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        result = jaccard_experiment(
+            "coupled", "oracle-line", trials, 1, n=30, m=11, k=2, threads=threads
+        )
+        if workers is None:
+            assert seen == chunks == []
+        else:
+            # about four chunks per worker
+            assert seen == [workers] and chunks == [-(-trials // (4 * workers))]
+        serial = jaccard_experiment("coupled", "oracle-line", trials, 1, n=30, m=11, k=2)
+        assert result.values == serial.values
 
     def test_import_loads_no_process_pool(self):
         """Only ``threads > 1`` needs multiprocessing, so importing the

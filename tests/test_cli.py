@@ -119,6 +119,22 @@ class TestGen:
         run(capsys, "gen", "--manifest", str(manifest), "--out", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_unread_manifest_values_are_dropped(self, tmp_path, capsys):
+        """A manifest value that the model does not read is recorded as null,
+        and the instance is the one the model's own flags give."""
+        manifest = tmp_path / "old.manifest.json"
+        manifest.write_text(json.dumps({"subcommand": "gen", "params": {
+            "model": "classical", "n": 10, "s": 3, "m": 7, "k": 4, "adversary": "random:0.5",
+            "seed": 1,
+        }}))
+        replayed, direct = tmp_path / "a.json", tmp_path / "b.json"
+        code, _, _ = run(capsys, "gen", "--manifest", str(manifest), "--out", str(replayed))
+        assert code == 0
+        written = json.loads((tmp_path / "a.json.manifest.json").read_text())["params"]
+        assert written["m"] is None and written["k"] is None and written["adversary"] is None
+        run(capsys, "gen", *CLASSICAL_10, "--seed", "1", "--out", str(direct))
+        assert replayed.read_bytes() == direct.read_bytes()
+
     def test_flags_override_manifest(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         run(
@@ -304,22 +320,6 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "chain", "--n", "4", "--m", "3")
         assert code == 0 and "violations=0" in err
 
-    @pytest.mark.parametrize(
-        "argv, named",
-        [
-            (["hg", "--seed", "7", "--n", "3"], "--seed, --n"),
-            (["chain", "--trials", "5"], "--trials"),
-            (["column-laws", "--m", "4"], "--m"),
-            (["local-bounds", "--s", "3"], "--s"),
-        ],
-        ids=["hg", "chain", "column-laws", "local-bounds"],
-    )
-    def test_flags_the_suite_never_reads(self, argv, named, tmp_path, capsys):
-        csv_path = tmp_path / "v.csv"
-        code, out, err = run(capsys, "verify", *argv, "--csv", str(csv_path))
-        assert_usage_error(code, err, f"does not read {named}")
-        assert out == "" and not csv_path.exists()
-
     def test_unread_seed_from_env_or_manifest_is_dropped(self, tmp_path, capsys, monkeypatch):
         """Only a flag is refused: a seed from PCSEMI_SEED or a manifest
         that the suite does not read is recorded as null."""
@@ -359,7 +359,7 @@ class TestBounds:
         csv_path = tmp_path / "b.csv"
         code, _, _ = run(
             capsys, "bounds", "--mode", "grid", "--n", "15", "--m", "13",
-            "--k", "2", "--s", "2", "--trials", "20", "--seed", "1",
+            "--s", "2", "--trials", "20", "--seed", "1",
             "--csv", str(csv_path),
         )
         assert code == 0
@@ -423,22 +423,6 @@ class TestExperiment:
         )
         assert code == 2 and "window" in err
 
-    @pytest.mark.parametrize(
-        "tag, flags, named",
-        [
-            ("coupled-lower", ["--s", "5", "--adversary", "extra_cliques:9"], "--s, --adversary"),
-            ("recovery-upper", ["--m", "4", "--k", "9"], "--m, --k"),
-        ],
-        ids=["coupled-lower", "recovery-upper"],
-    )
-    def test_flags_the_tag_never_reads(self, tag, flags, named, tmp_path, capsys):
-        csv_path = tmp_path / "e.csv"
-        code, out, err = run(
-            capsys, "experiment", tag, "--trials", "2", *flags, "--csv", str(csv_path)
-        )
-        assert_usage_error(code, err, named)
-        assert out == "" and not csv_path.exists()
-
 
 def assert_usage_error(code, err, word):
     assert code == 2
@@ -447,6 +431,57 @@ def assert_usage_error(code, err, word):
 
 class TestBadInput:
     """Input the program cannot use exits 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["verify", "hg", "--seed", "7", "--n", "3"], "verify hg does not read --seed, --n"),
+            (["verify", "chain", "--trials", "5"], "verify chain does not read --trials"),
+            (["verify", "column-laws", "--m", "4"], "verify column-laws does not read --m"),
+            (["verify", "local-bounds", "--s", "3"], "verify local-bounds does not read --s"),
+            (
+                ["experiment", "coupled-lower", "--trials", "2", "--s", "5",
+                 "--adversary", "extra_cliques:9"],
+                "experiment coupled-lower does not read --s, --adversary",
+            ),
+            (
+                ["experiment", "recovery-upper", "--trials", "2", "--m", "4", "--k", "9"],
+                "experiment recovery-upper does not read --m, --k",
+            ),
+            (
+                ["experiment", "coupled-lower", "--trials", "2", "--adversary", "empty"],
+                "experiment coupled-lower does not read --adversary",
+            ),
+            (
+                ["gen", "--model", "classical", "--n", "10", "--s", "3", "--m", "7", "--k", "4",
+                 "--adversary", "random:0.5"],
+                "gen classical does not read --m, --k, --adversary",
+            ),
+            (
+                ["gen", "--model", "null-grid", "--n", "10", "--m", "5", "--s", "3"],
+                "gen null-grid does not read --s",
+            ),
+            (
+                ["bounds", "--mode", "grid", "--k", "5", "--trials", "2"],
+                "bounds grid does not read --k",
+            ),
+        ],
+        ids=[
+            "verify-hg", "verify-chain", "verify-column-laws", "verify-local-bounds",
+            "experiment-coupled-lower", "experiment-recovery-upper",
+            "experiment-coupled-lower-adversary-empty", "gen-classical", "gen-null-grid",
+            "bounds-grid",
+        ],
+    )
+    def test_flags_the_variant_never_reads(self, argv, named, tmp_path, capsys):
+        """A flag that the chosen model, suite, mode or tag does not read is
+        refused before anything runs, so a run never records a value it did
+        not use."""
+        out = tmp_path / "out"
+        flag = "--out" if argv[0] == "gen" else "--csv"
+        code, text, err = run(capsys, *argv, flag, str(out))
+        assert_usage_error(code, err, named)
+        assert text == "" and list(tmp_path.iterdir()) == []
 
     def test_missing_manifest(self, tmp_path, capsys):
         code, _, err = run(capsys, "bounds", "--manifest", str(tmp_path / "none.json"))
@@ -777,7 +812,7 @@ class TestFloatFormatting:
         csv_path = tmp_path / "b.csv"
         run(
             capsys, "bounds", "--mode", "grid", "--n", "12", "--m", "13",
-            "--k", "2", "--s", "2", "--trials", "10", "--seed", "0",
+            "--s", "2", "--trials", "10", "--seed", "0",
             "--csv", str(csv_path),
         )
         from pcsemi.analysis import chained_kl_bound

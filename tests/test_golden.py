@@ -218,10 +218,35 @@ def test_recover_payload_digest(name, tmp_path, capsys):
 
 
 # Manifests in earlier formats: one wrote null for every parameter a verify
-# suite or an experiment tag fills in, and a later one wrote the adversary
-# "empty" into coupled-tag experiments, which never read it; the digest is of
-# the output.
+# suite or an experiment tag fills in, a later one wrote the adversary
+# "empty" into coupled-tag experiments, which never read it, gen manifests
+# once carried k = 2 and the adversary "empty" for every model, and bounds
+# manifests k = 2 in grid mode; the digest is of the output.
 EARLIER_MANIFESTS = {
+    "gen-classical": (
+        {
+            "subcommand": "gen",
+            "params": {"adversary": "empty", "k": 2, "m": None, "model": "classical", "n": 40,
+                       "out": "i.json", "s": 10, "seed": 1},
+        },
+        DIGESTS["gen-classical"],
+    ),
+    "gen-null-grid": (
+        {
+            "subcommand": "gen",
+            "params": {"adversary": "empty", "k": 2, "m": 9, "model": "null-grid", "n": 40,
+                       "out": "i.json", "s": None, "seed": 3},
+        },
+        DIGESTS["gen-null-grid"],
+    ),
+    "bounds-grid": (
+        {
+            "subcommand": "bounds",
+            "params": {"csv": "b.csv", "k": 2, "m": 13, "mode": "grid", "n": 20, "s": 2,
+                       "seed": 1, "trials": 10},
+        },
+        DIGESTS["bounds-grid"],
+    ),
     "verify-chain": (
         {
             "subcommand": "verify",
