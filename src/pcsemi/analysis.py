@@ -15,10 +15,12 @@ import math
 import os
 import time
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
@@ -77,19 +79,28 @@ def column_law(state: AssignmentState) -> ColumnLaw:
     """Column law by full enumeration of the unused off-structure points, in
     either design mode: sigma(J) is the fraction of candidates that force
     exactly the clique coordinates J.  In grid mode J holds at most the one
-    coordinate whose column the point lands in."""
-    masks = state.masks[state.free]
-    denom = len(masks)
+    coordinate whose column the point lands in.
+
+    The candidates are tallied over the state's forced-mask index, K
+    distinct masks per lineage, without sorting them and with no table of
+    2^s: ``sigma_counts`` keys the present masks in order of their first
+    candidate, and ``pi`` reads the tally times the keys' bits."""
+    rows = state.key_rows[state.free]
+    denom = len(rows)
     if not denom:
         raise ValueError("no unused off-structure points remain")
-    s = len(state.clique_points)
-    # distinct masks, keyed in order of first occurrence
-    keys, first, tally = np.unique(masks, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    sigma_counts = dict(zip(keys[order].tolist(), tally[order].tolist()))
-    hits = tally @ ((keys[:, None] >> np.arange(s)) & 1)  # candidates forcing j
+    tally = np.bincount(rows, minlength=len(state.keys))
+    # the largest of denom - i over the candidates i of each key marks its
+    # first candidate
+    first = np.zeros(len(tally), dtype=np.intp)
+    np.maximum.at(first, rows, np.arange(denom, 0, -1))
+    present = tally.nonzero()[0]
+    order = present[(-first[present]).argsort()]
+    sigma_counts = dict(zip(state.keys[order].tolist(), tally[order].tolist()))
+    hits = tally @ state.key_bits  # candidates forcing j
     spec = PBSpec(
-        s=s, q=state.q, sigma={mask: c / denom for mask, c in sigma_counts.items()}
+        s=len(state.clique_points), q=state.q,
+        sigma={mask: c / denom for mask, c in sigma_counts.items()},
     )
     return ColumnLaw(
         spec=spec,
@@ -145,8 +156,13 @@ def _law_rows(laws) -> tuple[np.ndarray, np.ndarray]:
     """Dense sigma rows (L, 2^s) and pi rows (L, s) of column laws sharing s."""
     s = laws[0].spec.s
     sigma = np.zeros((len(laws), 1 << s))
-    for row, law in zip(sigma, laws):
-        row[list(law.spec.sigma)] = list(law.spec.sigma.values())
+    # one scatter for the stack: no law repeats a mask, so no cell is
+    # written twice
+    counts = [len(law.spec.sigma) for law in laws]
+    masks = [mask for law in laws for mask in law.spec.sigma]
+    sigma[np.repeat(np.arange(len(laws)), counts), masks] = [
+        mass for law in laws for mass in law.spec.sigma.values()
+    ]
     return sigma, np.array([law.pi for law in laws])
 
 
@@ -278,8 +294,8 @@ class BoundLedger:
     The fields fixed by the configuration (``column_index``, the closed-form
     terms and total, the hypotheses and the Pinsker cap) are built once per
     configuration and shared by its ledgers, so a caller that keeps many
-    ledgers holds about 5 KB for each instead of 6 KB (n = 60): read the
-    two dicts, do not mutate them."""
+    ledgers holds about 5 KB for each instead of 6 KB (n = 60).  The two
+    mappings are read-only views of the shared dicts."""
 
     mode: str
     n: int
@@ -295,9 +311,9 @@ class BoundLedger:
     chained_exact_stderr: float
     chained_bound: float
     chained_bound_stderr: float
-    closed_form_terms: dict[str, float]
+    closed_form_terms: Mapping[str, float]
     closed_form_total: float
-    hypotheses: dict[str, bool]
+    hypotheses: Mapping[str, bool]
     tv_pinsker: float
 
 
@@ -402,11 +418,13 @@ def _configuration_fields(mode: str, n: int, m: int, k: int, s: int) -> dict:
     """The ``BoundLedger`` fields that the configuration alone fixes."""
     terms, hyp = closed_form_chain_terms(mode, n, m, k, s)
     total = sum(terms.values())
+    # read-only views: the cached dicts are shared by every ledger of the
+    # configuration, so a write to one must not reach the others
     return dict(
         column_index=tuple(range(s + 1, n + 1)),
-        closed_form_terms=terms,
+        closed_form_terms=MappingProxyType(terms),
         closed_form_total=total,
-        hypotheses=hyp,
+        hypotheses=MappingProxyType(hyp),
         tv_pinsker=tv_from_kl(total),
     )
 
@@ -421,7 +439,8 @@ _MAX_ASSIGNMENTS = 4_000_000
 _MAX_TABLE_CELLS = 1 << 34
 # column laws (or clique-point subsets) exact_chain_rhs may take on.  Stacked,
 # a law scores in about 9 us (the 286,628 laws of (22, 7, grid) took 2.5 s on
-# a 2-core Xeon), and a line-mode subset builds its column_law in about 65 us
+# a 2-core Xeon), and a line-mode subset builds its state and column_law in
+# 52-67 us on the same machine (m = 7, 11 and 13, up to 4 clique points)
 _MAX_CHAIN_LAWS = 300_000
 _MAX_GRAPH_N = 7  # a graph law is a table of 2^C(n,2) floats, 2^21 at n = 7
 

@@ -14,9 +14,11 @@ coins.
 Coupled generation and the column laws work on grid indices: ``_label_table``
 caches, per (mode, m, k), the labels of the m^2 grid points in (a, b) order,
 and an ``AssignmentState`` derives from it, once per lineage, the bit mask of
-clique coordinates each grid point forces and a mask of the free
-(off-structure, unassigned) points, which ``with_point`` updates in place of
-a rebuild.
+clique coordinates each grid point forces, the forced-mask index (the K
+distinct masks, each grid point's row among them and each mask's bits), and
+a mask of the free (off-structure, unassigned) points, which ``with_point``
+updates in place of a rebuild.  The state refuses points and planted lines
+that no coupled process reaches.
 
 Every instance, generated or loaded, is one ``PlantedInstance``: the null
 models carry an empty clique and no revealed vertex, and ``instance_to_json``
@@ -28,9 +30,10 @@ fill, Ber(p) coins plus t disjoint planted s-cliques (``AdversarySpec``).
 
 The likelihood of a clique column depends on a candidate point only through
 its forced mask, so ``_weight_rows``, the one place a column likelihood is
-computed, weighs each distinct mask once and gathers the weights to the grid
-points; ``gen_coupled``, ``column_weights`` and the exact coupled law all
-read it.
+computed, weighs each distinct mask of the state's index once and gathers
+the weights to the grid points; ``gen_coupled``, ``column_weights`` and the
+exact coupled law all read it.  ``analysis.column_law`` tallies the free
+points over the same index.
 
 Randomness: every generator derives named substreams from (seed, path) via a
 counter-based Philox generator keyed by a blake2b hash, so identical seeds
@@ -526,6 +529,19 @@ def gen_null_lines(n: int, m: int, k: int, seed: int) -> PlantedInstance:
     return _gen_null(n, m, k, seed, "lines", {"n": n, "m": m, "k": k})
 
 
+def _grid_index(points, m: int, what: str) -> list[int]:
+    """Grid indices a * m + b of distinct points of [0, m)^2; a point
+    outside the grid or given twice is refused."""
+    idx = []
+    for a, b in points:
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"{what} [{a}, {b}] outside [0, {m})^2")
+        idx.append(a * m + b)
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"{what}s must be distinct")
+    return idx
+
+
 @dataclass(frozen=True)
 class AssignmentState:
     """Partially built latent assignment during coupled generation.
@@ -533,7 +549,10 @@ class AssignmentState:
     Holds the planted structure, the clique's points, and the off-structure
     points assigned so far; the next column index is implied by the prefix
     length.  Only these seven fields take part in equality, hashing and
-    ``repr``.
+    ``repr``.  A state no coupled process reaches is refused: a planted line
+    outside [0, k) x [0, m) (grid mode plants a row, slope 0), clique points
+    off that line or repeated, and prior points off the grid, on the line or
+    repeated.
 
     The constructor also derives, once per lineage, index-native views over
     the m^2 grid points in (a, b) order (row a * m + b of ``_label_table``):
@@ -542,10 +561,13 @@ class AssignmentState:
       label with clique point j, i.e. forces the edge to clique coordinate
       j: the subset J of a column law; exact for s < 63, and column laws
       stop at s = MAX_DIM = 20;
+    - the forced-mask index: ``keys``, the K distinct masks ascending;
+      ``key_rows``, intp (m^2,), each grid point's row in ``keys``; and
+      ``key_bits``, int64 (K, s), bit j of each key;
     - ``free``: bool (m^2,), off the planted structure and not yet assigned.
 
-    ``with_point`` hands ``masks`` on by reference and copies only ``free``,
-    so a chain of d steps builds ``masks`` once.
+    ``with_point`` hands ``masks`` and the index on by reference and copies
+    only ``free``, so a chain of d steps builds them once.
     """
 
     mode: str
@@ -556,25 +578,55 @@ class AssignmentState:
     clique_points: tuple[Point, ...]
     prior_points: tuple[Point, ...] = ()
     masks: np.ndarray = field(init=False, compare=False, repr=False)
+    keys: np.ndarray = field(init=False, compare=False, repr=False)
+    key_rows: np.ndarray = field(init=False, compare=False, repr=False)
+    key_bits: np.ndarray = field(init=False, compare=False, repr=False)
     free: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.m
         labels = _label_table(self.mode, m, self.k)
         r, h = self.planted
-        free = labels[:, r] != h % m
+        slopes = 1 if self.mode == "grid" else self.k
+        if not (0 <= r < slopes and 0 <= h < m):
+            raise ValueError(f"planted line [{r}, {h}] outside [0, {slopes}) x [0, {m})")
+        free = labels[:, r] != h
+        for (a, b), i in zip(self.clique_points, _grid_index(self.clique_points, m, "clique point")):
+            if free[i]:
+                raise ValueError(f"clique point [{a}, {b}] is off the planted line [{r}, {h}]")
+        for (a, b), i in zip(self.prior_points, _grid_index(self.prior_points, m, "prior point")):
+            if not free[i]:
+                raise ValueError(f"prior point [{a}, {b}] is on the planted line [{r}, {h}]")
+            free[i] = False
         forced = _share_label(labels, design_labels(self.clique_points, self.mode, m, self.k))
-        used = np.asarray(self.prior_points, dtype=np.int64).reshape(-1, 2)
-        free[used[:, 0] * m + used[:, 1]] = False
-        masks = forced @ (1 << np.arange(forced.shape[1], dtype=np.int64))
-        masks.flags.writeable = False
-        object.__setattr__(self, "masks", masks)
+        s = forced.shape[1]
+        masks = forced @ (1 << np.arange(s, dtype=np.int64))
+        # np.unique(masks, return_inverse=True) from one sort: numpy 2's
+        # np.unique costs 2-4x a sort here, and its hashing path adds about
+        # 1.5 MB of resident memory on first use
+        ordered = np.sort(masks)
+        step = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+        keys = ordered[step]
+        rows = keys.searchsorted(masks)
+        bits = (keys[:, None] >> np.arange(s)) & 1
+        for name, value in (("masks", masks), ("keys", keys), ("key_rows", rows), ("key_bits", bits)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "free", free)
 
     def with_point(self, p: Point) -> "AssignmentState":
+        """The state with the free point p assigned next; a point off the
+        grid, on the planted line or already assigned is refused."""
+        m, (a, b) = self.m, p
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"grid point [{a}, {b}] outside [0, {m})^2")
+        i = a * m + b
+        if not self.free[i]:
+            raise ValueError(f"grid point [{a}, {b}] is not free: on the planted line or already assigned")
         free = self.free.copy()
-        free[p[0] * self.m + p[1]] = False
-        # a shallow copy, without the constructor's rebuild of ``masks``
+        free[i] = False
+        # a shallow copy, without the constructor's rebuild of the masks
         child = object.__new__(AssignmentState)
         child.__dict__.update(self.__dict__, prior_points=self.prior_points + (p,), free=free)
         return child
@@ -605,15 +657,14 @@ def _weight_rows(state: AssignmentState, columns: np.ndarray) -> np.ndarray:
     mask, and gathered to the grid points: the bytes of the one-hot
     ``_or_coins`` row of the mask, which multiplies the same factors in the
     same order."""
-    s, q = len(state.clique_points), state.q
-    keys, rows = np.unique(state.masks, return_inverse=True)
-    forced = (keys[:, None] >> np.arange(s)) & 1
+    q = state.q
+    forced = state.key_bits
     # a forced coordinate contributes 1[column_j = 1]
-    weights = np.ones((len(columns), len(keys)))
-    for j in range(s):
+    weights = np.ones((len(columns), len(state.keys)))
+    for j in range(forced.shape[1]):
         on, off = np.where(forced[:, j], 1.0, q), np.where(forced[:, j], 0.0, 1.0 - q)
         weights *= np.where(columns[:, j, None], on, off)
-    return weights[:, rows]
+    return weights[:, state.key_rows]
 
 
 def conditional_assignment(

@@ -1,12 +1,14 @@
 """Tests for column laws, local and chained KL bounds, exact joint laws,
 hypergeometric expectations, and the Jaccard experiments."""
 
+import dataclasses
 import itertools
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -207,6 +209,51 @@ class TestColumnLawLines:
                     assert law.pi[j] == forcing / denom
                     hits = sum(1 for p in state.prior_points if bowtie(p, c, m, k))
                     assert law.pi[j] == ((k - 1) * (m - 1) - hits) / denom
+
+    @pytest.mark.parametrize(
+        "mode,m,k,s",
+        [("grid", 31, 2, 20), ("grid", 23, 2, 14), ("lines", 23, 2, 20), ("lines", 29, 5, 20),
+         ("lines", 41, 3, 8)],
+    )
+    def test_top_of_domain_matches_unique_oracle(self, mode, m, k, s):
+        """Up to s = MAX_DIM = 20 the law equals, under ``==``, the one the
+        sorted distinct masks give, its keys in the order of a Python tally
+        of the free points, and one law holds far less than a 2^s table of
+        floats (8 MB at s = 20).  A ``with_point`` child shares the
+        forced-mask index by identity."""
+        rng = np.random.default_rng(s * m + k)
+        for d in (0, 1, int(rng.integers(2, m * m - m))):
+            state = random_prefix_state(rng, mode, m, k, s, d)
+            law = column_law(state)  # warm: the first call may build caches
+            tracemalloc.start()
+            try:
+                law = column_law(state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, peak
+            masks = state.masks[state.free]
+            denom = len(masks)
+            keys, first, tally = np.unique(masks, return_index=True, return_counts=True)
+            order = np.argsort(first)
+            counts = dict(zip(keys[order].tolist(), tally[order].tolist()))
+            hits = tally @ ((keys[:, None] >> np.arange(s)) & 1)
+            want = ColumnLaw(
+                spec=PBSpec(s=s, q=state.q, sigma={f: c / denom for f, c in counts.items()}),
+                pi=tuple(c / denom for c in hits.tolist()),
+                denominator=denom,
+                sigma_counts=counts,
+            )
+            assert law == want
+            python_tally = {}
+            for i in np.flatnonzero(state.free).tolist():
+                f = int(state.masks[i])
+                python_tally[f] = python_tally.get(f, 0) + 1
+            assert list(law.sigma_counts.items()) == list(python_tally.items())
+            assert list(law.spec.sigma) == list(python_tally)
+            child = state.with_point(divmod(int(np.flatnonzero(state.free)[0]), m))
+            for name in ("masks", "keys", "key_rows", "key_bits"):
+                assert getattr(child, name) is getattr(state, name)
 
     def test_composite_m_rejected(self):
         """The line design needs m prime: at m = 34 the enumerated singleton
@@ -540,6 +587,24 @@ class TestChainedBound:
         assert chained_kl_bound(15, 13, 5, 2, 4, 3, mode="grid") == chained_kl_bound(
             15, 13, 2, 2, 4, 3, mode="grid"
         )
+
+    def test_shared_configuration_fields_are_read_only(self):
+        """The closed-form terms and hypotheses that ledgers of one
+        configuration share refuse a write, so no ledger reaches another;
+        ``dataclasses.replace`` still takes plain dicts for them."""
+        a = chained_kl_bound(20, 13, 2, 2, 2, seed=1, mode="grid")
+        with pytest.raises(TypeError):
+            a.closed_form_terms["column_tail"] = 99.0
+        with pytest.raises(TypeError):
+            a.hypotheses["m2_ge_7n"] = False
+        b = chained_kl_bound(20, 13, 2, 2, 2, seed=2, mode="grid")
+        terms, hyp = closed_form_chain_terms("grid", 20, 13, 2, 2)
+        assert dict(b.closed_form_terms) == terms and dict(b.hypotheses) == hyp
+        assert b.closed_form_total == sum(terms.values())
+        assert a == chained_kl_bound(20, 13, 2, 2, 2, seed=1, mode="grid")
+        edited = dataclasses.replace(a, closed_form_terms=dict(a.closed_form_terms, column_tail=99.0))
+        assert edited.closed_form_terms["column_tail"] == 99.0
+        assert b.closed_form_terms["column_tail"] == terms["column_tail"]
 
     def test_lines_mode_runs(self):
         led = chained_kl_bound(30, 29, 2, 3, 20, 0, mode="lines")

@@ -720,7 +720,7 @@ class TestAssignmentStateArrays:
                 cb, wb = column_weights(built, column)
                 cc, wc = column_weights(chained, column)
                 assert np.array_equal(cb, cc) and wb.tobytes() == wc.tobytes()
-            for name in ("masks", "free"):
+            for name in ("masks", "keys", "key_rows", "key_bits", "free"):
                 assert np.array_equal(getattr(built, name), getattr(chained, name))
 
     def test_parent_unchanged_by_with_point(self):
@@ -733,7 +733,9 @@ class TestAssignmentStateArrays:
         assert np.array_equal(state.free, free)
         assert state.prior_points == ()
         assert free_points(state) == cands
-        assert child.free is not state.free and child.masks is state.masks
+        assert child.free is not state.free
+        for name in ("masks", "keys", "key_rows", "key_bits"):
+            assert getattr(child, name) is getattr(state, name)
         assert len(free_points(child)) == len(cands) - 40
 
     def test_equality_and_hash_ignore_derived_arrays(self):
@@ -744,7 +746,8 @@ class TestAssignmentStateArrays:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
         assert a != state.with_point(r).with_point(p)
-        assert "free" not in repr(a) and "masks" not in repr(a)
+        for name in ("free", "masks", "keys", "key_rows", "key_bits"):
+            assert name not in repr(a)
 
     def test_masks_match_bowtie(self):
         state = line_state(11, 3, 4, np.random.default_rng(2))
@@ -756,6 +759,71 @@ class TestAssignmentStateArrays:
                     if bowtie((a, b), c, 11, 3)
                 )
                 assert int(state.masks[a * 11 + b]) == expected
+
+
+def refusal_state(**change):
+    """Line state at m = 11, k = 3, planted line (1, 4), three points on it,
+    with the given fields changed."""
+    planted = (1, 4)
+    fields = dict(
+        mode="lines", m=11, k=3, q=line_rate(11, 3), planted=planted,
+        clique_points=tuple(structure_points(planted, 11)[:3]),
+    )
+    return AssignmentState(**{**fields, **change})
+
+
+class TestAssignmentStateRefusals:
+    """A state no coupled process reaches is refused, by the constructor
+    and by ``with_point``, instead of aliasing or miscounting a point."""
+
+    def test_fresh_state_is_accepted(self):
+        state = refusal_state()
+        assert int(state.free.sum()) == 11 * 11 - 11
+
+    @pytest.mark.parametrize(
+        "point,message",
+        [
+            ((0, 11), r"grid point \[0, 11\] outside \[0, 11\)\^2"),
+            ((11, 0), r"grid point \[11, 0\] outside"),
+            ((-1, 0), r"grid point \[-1, 0\] outside"),
+            ((0, -1), r"grid point \[0, -1\] outside"),
+            ((9, 5), r"grid point \[9, 5\] is not free"),  # on the line a = 4 + b
+        ],
+    )
+    def test_with_point_refuses_a_point_that_is_not_free(self, point, message):
+        state = refusal_state()
+        with pytest.raises(ValueError, match=message):
+            state.with_point(point)
+        assert state.prior_points == () and int(state.free.sum()) == 110
+
+    def test_with_point_refuses_the_same_point_twice(self):
+        state = refusal_state().with_point((0, 0))
+        with pytest.raises(ValueError, match=r"grid point \[0, 0\] is not free"):
+            state.with_point((0, 0))
+        assert state.prior_points == ((0, 0),) and int(state.free.sum()) == 109
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"prior_points": ((0, 11),)}, r"prior point \[0, 11\] outside \[0, 11\)\^2"),
+            ({"prior_points": ((-1, 3),)}, r"prior point \[-1, 3\] outside"),
+            ({"prior_points": ((0, 0), (2, 3), (0, 0))}, "prior points must be distinct"),
+            ({"prior_points": ((0, 0), (9, 5))}, r"prior point \[9, 5\] is on the planted line"),
+            ({"clique_points": ((4, 0), (0, 1))}, r"clique point \[0, 1\] is off the planted line"),
+            ({"clique_points": ((4, 11),)}, r"clique point \[4, 11\] outside"),
+            ({"clique_points": ((4, 0), (5, 1), (4, 0))}, "clique points must be distinct"),
+            ({"planted": (5, 4)}, r"planted line \[5, 4\] outside \[0, 3\) x \[0, 11\)"),
+            ({"planted": (1, 11)}, r"planted line \[1, 11\] outside"),
+            ({"planted": (-1, 4)}, r"planted line \[-1, 4\] outside"),
+            (
+                {"mode": "grid", "q": grid_rate(11), "planted": (1, 0), "clique_points": ()},
+                r"planted line \[1, 0\] outside \[0, 1\) x \[0, 11\)",
+            ),
+        ],
+    )
+    def test_constructor_refuses_unreachable_states(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            refusal_state(**change)
 
 
 def oracle_column_weights(state, column):
