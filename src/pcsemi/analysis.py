@@ -166,22 +166,40 @@ def _law_rows(laws) -> tuple[np.ndarray, np.ndarray]:
     return sigma, np.array([law.pi for law in laws])
 
 
-def _kl_rows(sigma: np.ndarray, ref: PBSpec) -> np.ndarray:
-    """Exact KL of PB(ref.q, row) against ``ref`` for each dense sigma row of
-    a C-contiguous stack (L, 2^s), 0 < q < 1: one up-closure of the carrying
-    masks, one ``_or_coins`` pass, and ``ref``'s support and pmf once.
+def _law_tables(ref: PBSpec) -> tuple[float, np.ndarray, np.ndarray]:
+    """What ``_kl_rows`` reads of the law it measures against: its base rate,
+    its support and its pmf floored at 1e-300 on that support, as
+    ``kl_exact`` builds them for its second law; the tables are read-only."""
+    support = support_vector(ref)
+    pmf = np.where(support, np.maximum(pmf_vector(ref), 1e-300), 0.0)
+    support.flags.writeable = False
+    pmf.flags.writeable = False
+    return ref.q, support, pmf
+
+
+@lru_cache(maxsize=4)
+def _reference_tables(q: float, s: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """``_law_tables`` of ``reference_law(q, s)``, built once per (q, s) for
+    every column KL taken against it."""
+    return _law_tables(reference_law(q, s))
+
+
+def _kl_rows(sigma: np.ndarray, ref: tuple[float, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Exact KL of PB(q, row) against the law whose ``_law_tables`` are
+    ``ref`` = (q, support, floored pmf), for each dense sigma row of a
+    C-contiguous stack (L, 2^s), 0 < q < 1: one up-closure of the carrying
+    masks and one ``_or_coins`` pass.
 
     Each entry is ``kl_exact`` of its row's law to the last bit: the terms
     are the same elementwise values, a row whose pmf is positive everywhere
     is summed along its contiguous row, as ``np.sum`` sums it, any other row
-    over its live entries alone, and a row that escapes ``ref``'s support
-    is +inf."""
-    if not 0.0 < ref.q < 1.0:
-        raise ValueError(f"row KL needs q in (0, 1), got {ref.q}")
+    over its live entries alone, and a row that escapes the support of
+    ``ref`` is +inf."""
+    q, ref_support, pb = ref
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"row KL needs q in (0, 1), got {q}")
     support = _lattice_transform(sigma > 0.0, np.logical_or)
-    ref_support = support_vector(ref)
-    pa = np.where(support, _or_coins(sigma.copy(), ref.q), 0.0)
-    pb = np.where(ref_support, np.maximum(pmf_vector(ref), 1e-300), 0.0)
+    pa = np.where(support, _or_coins(sigma.copy(), q), 0.0)
     live = pa > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = pa * np.log(pa / pb)
@@ -249,7 +267,7 @@ def column_score_rows(
         bound = _grid_bound_rows(pi, m)
     else:
         bound = _line_bound_rows(pi, sigma, n, m, k)
-    return _kl_rows(sigma, reference_law(q, pi.shape[1])), bound
+    return _kl_rows(sigma, _reference_tables(q, pi.shape[1])), bound
 
 
 def kl_local_bound_grid(law: ColumnLaw, m: int) -> float:
@@ -685,7 +703,7 @@ def exact_chain_rhs(n: int, m: int, mode: str = "grid", k: int = 2) -> float:
         raise ValueError(f"state space too large: {laws} column laws")
     total = 0.0
     for s, tally in zip(sizes, tallies):
-        ref = reference_law(q, s)
+        ref = _reference_tables(q, s)
         level = sum(
             share / (len(slopes) * comb(m, s))
             * sum(_expected_column_kl(counts, d, ref) for d in range(n - s))
@@ -705,8 +723,9 @@ def _removal_counts(sizes: list[int], lengths: int) -> list[int]:
 
 
 def _expected_column_kl(counts, d, ref) -> float:
-    """E over a uniform d-point prefix of the column KL against ``ref``, for
-    the (forced mask f, free candidates N_f) pairs ``counts``.  The removal
+    """E over a uniform d-point prefix of the column KL against the law
+    whose ``_law_tables`` are ``ref``, for the (forced mask f, free
+    candidates N_f) pairs ``counts``.  The removal
     vectors run in lexicographic order over the nonzero masks ascending and
     then mask 0, which takes whatever the others leave of the prefix."""
     counts = dict(counts)
@@ -725,9 +744,10 @@ def _expected_column_kl(counts, d, ref) -> float:
 
     # the weighted KLs are added one by one in the order of the removal vectors
     out = 0.0
-    for block in _stacks(rec(0, d, 1, []), ref.s):
+    s = len(ref[1]).bit_length() - 1
+    for block in _stacks(rec(0, d, 1, []), s):
         ways, taken = zip(*block)
-        sigma = np.zeros((len(block), 1 << ref.s))
+        sigma = np.zeros((len(block), 1 << s))
         sigma[:, masks] = (np.array(sizes) - np.array(taken)) / denom
         for w, kl in zip(ways, _kl_rows(sigma, ref).tolist()):
             out += w / total_ways * kl

@@ -20,6 +20,16 @@ by ``_or_coins``.  From s = 12 ``_halves`` walks the six lowest
 coordinates on one transposed copy of the table, so that no pass runs
 short inner loops; the bytes are those of the plain walk.  The support is
 an up-closure of booleans by the same transform with ``np.logical_or``.
+
+A law's own tables (pmf, superset sums, support) start from its sparse
+masses (``_sparse_table``).  The coordinates below a split bit t only mix
+entries inside a row-block, the 2^t entries that share the bits >= t, so
+they run on a stack of the H row-blocks that hold a mass; the stack is
+then scattered into the zero table and coordinates t..s-1 run on all of
+it.  Each other entry is +0.0 (or False) before and after those first
+passes, so the bytes are those of the full walk.  t is the largest with
+H * 2^t <= 2^s / 8; a law with more than 2^s / 8 masses has none and
+takes the full walk.
 """
 
 from __future__ import annotations
@@ -94,13 +104,6 @@ def _popcounts(s: int) -> np.ndarray:
     return np.array([m.bit_count() for m in range(1 << s)], dtype=np.int64)
 
 
-def _dense(spec: PBSpec) -> np.ndarray:
-    arr = np.zeros(1 << spec.s)
-    for mask, mass in spec.sigma.items():
-        arr[mask] = mass
-    return arr
-
-
 # ``_halves`` walks the low 6 bits of tables with s >= 12 on a transposed
 # copy; 5 to 8 low bits timed alike at s = 14-18.  Smaller tables, like the
 # coupling's likelihood rows (s <= 10), keep the plain walk.
@@ -108,11 +111,11 @@ _LOW_BITS = 6
 _TRANSPOSED_FROM = 12
 
 
-def _halves(out: np.ndarray):
-    """Per bit b of the last axis, in order, the (bit b clear, bit b set)
-    halves of every block as views that the caller updates in place.  ``out``
-    must be C-contiguous, so each reshape is a view and not a copy; a stack of
-    tables is walked as one.
+def _halves(out: np.ndarray, first: int = 0):
+    """Per bit b >= ``first`` of the last axis, in order, the (bit b clear,
+    bit b set) halves of every block as views that the caller updates in
+    place.  ``out`` must be C-contiguous, so each reshape is a view and not
+    a copy; a stack of tables is walked as one.
 
     A pass over bit b of ``out`` itself runs 2^(s-b-1) inner loops of 2^b
     elements, so from s = ``_TRANSPOSED_FROM`` the low ``_LOW_BITS`` bits are
@@ -122,31 +125,36 @@ def _halves(out: np.ndarray):
     order, so the result is the same to the last bit.  The copy is written
     back into ``out`` only when the loop asks for the first high bit: the
     caller must run the loop to its end, as ``_lattice_transform``,
-    ``_or_coins`` and ``pmf_fourier_vector`` do.
+    ``_or_coins`` and ``pmf_fourier_vector`` do.  A walk that starts at
+    ``first`` >= ``_LOW_BITS`` makes no copy; ``_sparse_table`` starts the
+    walk of its full table at its split bit.
     """
     s = out.shape[-1].bit_length() - 1
     low = _LOW_BITS if s >= _TRANSPOSED_FROM else 0
-    if low:
+    if first < low:
         rows = out.reshape(-1, 1 << (s - low), 1 << low)
         work = rows.transpose(0, 2, 1).copy()  # bit b of out is bit b + s - low here
-        for b in range(s - low, s):
+        for b in range(s - low + first, s):
             v = work.reshape(-1, 2, 1 << b)
             yield v[:, 0, :], v[:, 1, :]
         rows[...] = work.transpose(0, 2, 1)
-    for b in range(low, s):
+    for b in range(max(first, low), s):
         v = out.reshape(-1, 2, 1 << b)
         yield v[:, 0, :], v[:, 1, :]
 
 
-def _lattice_transform(out: np.ndarray, op, superset: bool = False) -> np.ndarray:
+def _lattice_transform(
+    out: np.ndarray, op, superset: bool = False, first: int = 0
+) -> np.ndarray:
     """Yates' fast zeta transform over the subset lattice, in place on ``out``.
 
     With ``op=np.add`` each entry x becomes the sum of the input over the
     subsets of x (over its supersets when ``superset`` is set); with
     ``np.subtract`` it is the inverse, the Moebius transform.  Each pass folds
-    one half of ``_halves`` into the other with one contiguous ufunc call.
+    one half of ``_halves`` into the other with one contiguous ufunc call;
+    the passes start at coordinate ``first``.
     """
-    for lo, hi in _halves(out):
+    for lo, hi in _halves(out, first):
         if superset:
             op(lo, hi, out=lo)
         else:
@@ -154,15 +162,86 @@ def _lattice_transform(out: np.ndarray, op, superset: bool = False) -> np.ndarra
     return out
 
 
-def _or_coins(table: np.ndarray, q: float) -> np.ndarray:
+def _or_coins(table: np.ndarray, q: float, first: int = 0) -> np.ndarray:
     """OR Ber(q) coins into forced-subset masses, in place over the last axis:
     entry x becomes sum over J subset x of table[J] q^|x - J| (1-q)^(N - |x|).
-    One pass ``hi += q lo; lo *= 1 - q`` per coordinate adds only nonnegative
-    terms, so no entry can cancel."""
-    for lo, hi in _halves(table):
+    One pass ``hi += q lo; lo *= 1 - q`` per coordinate, from coordinate
+    ``first``, adds only nonnegative terms, so no entry can cancel."""
+    for lo, hi in _halves(table, first):
         hi += q * lo
         lo *= 1.0 - q
     return table
+
+
+# The stack of mass-holding row-blocks may hold at most 2^s / 2^_SPLIT_SHARE
+# entries.
+_SPLIT_SHARE = 3
+
+
+def _split_bit(s: int, masks: np.ndarray) -> int:
+    """The largest t >= 1 whose mass-holding row-blocks (the blocks of 2^t
+    entries that share the bits >= t) hold at most 2^(s - _SPLIT_SHARE)
+    entries in all, or 0 when no t does.  Every block holds at most 2^t
+    masks, so more than 2^(s - _SPLIT_SHARE) masks rule out every t, and a
+    dense law is refused by its length alone."""
+    cap = s - _SPLIT_SHARE
+    if cap < 1 or len(masks) > 1 << cap:
+        return 0
+    order = sorted(masks.tolist())
+    # two masks adjacent in order lie in different row-blocks of 2^t exactly
+    # when the highest bit at which they differ is >= t
+    tops = sorted(((a ^ b).bit_length() for a, b in zip(order, order[1:])), reverse=True)
+    apart = 0
+    for t in range(cap, 0, -1):
+        while apart < len(tops) and tops[apart] > t:
+            apart += 1
+        if (apart + 1) << t <= 1 << cap:
+            return t
+    return 0
+
+
+def _sparse_table(s: int, masks: np.ndarray, values, walk) -> np.ndarray:
+    """The 2^s table that holds ``values`` at ``masks`` and zero elsewhere,
+    through ``walk(table, first)``, a subset walk in place over coordinates
+    ``first`` onwards of a 1-D table.
+
+    With a split bit t (``_split_bit``), coordinates 0..t-1 run first on a
+    stack of the H row-blocks that hold a mask, then coordinates t..s-1 on
+    the whole table once the stack is scattered into it.  The stack is one
+    table of 2^(t + r) entries, r = ceil(log2 H): its low r bits number the
+    row-block and its bits r.. are coordinates 0..t-1, so its walk from bit
+    r has inner loops of at least 2^r entries where a stack of rows would
+    have loops of one.  The walk must leave a zero row-block zero
+    (0 * q, 0 + 0 and 0 | 0 do), so every entry ends as in the walk of the
+    whole table from coordinate 0."""
+    dtype = np.result_type(values)
+    table = np.zeros(1 << s, dtype)
+    t = _split_bit(s, masks)
+    if not t:
+        table[masks] = values
+        return walk(table, 0)
+    highs = (masks >> t).tolist()
+    rows = {high: row for row, high in enumerate(dict.fromkeys(highs))}
+    r = (len(rows) - 1).bit_length()
+    stack = np.zeros(1 << (t + r), dtype)
+    stack[((masks & ((1 << t) - 1)) << r) | [rows[high] for high in highs]] = values
+    walk(stack, r)
+    table.reshape(-1, 1 << t)[list(rows)] = stack.reshape(1 << t, 1 << r)[:, :len(rows)].T
+    return walk(table, t)
+
+
+def _masses(spec: PBSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The listed masks of ``spec`` and their masses, as two arrays."""
+    n = len(spec.sigma)
+    return np.fromiter(spec.sigma, np.int64, n), np.fromiter(spec.sigma.values(), float, n)
+
+
+def _superset_table(spec: PBSpec) -> np.ndarray:
+    """The superset statistics S(J) of ``spec`` as a writable 2^s table."""
+    return _sparse_table(
+        spec.s, *_masses(spec),
+        lambda table, first: _lattice_transform(table, np.add, superset=True, first=first),
+    )
 
 
 def _as_mask(s: int, x: Sequence[int]) -> int:
@@ -200,7 +279,8 @@ def pmf_vector(spec: PBSpec) -> np.ndarray:
     ``_or_coins``.  Each entry is a sum of nonnegative terms, accurate to a
     few ulps relative even for the rarest states, which a difference form
     (zeta, product, Moebius) cancels to negative or zero values."""
-    return _or_coins(_dense(spec), spec.q)
+    q = spec.q
+    return _sparse_table(spec.s, *_masses(spec), lambda table, first: _or_coins(table, q, first))
 
 
 def pb_pmf_fourier(spec: PBSpec, x: Sequence[int]) -> float:
@@ -224,7 +304,7 @@ def pmf_fourier_vector(spec: PBSpec) -> np.ndarray:
     s, q = spec.s, spec.q
     if q <= 0.0:
         raise ValueError("q must be positive for the signed product form")
-    acc = _lattice_transform(_dense(spec), np.add, superset=True)
+    acc = _superset_table(spec)
     factor_one = -1.0 + 1.0 / q  # coordinate in J, x_j = 1
     for absent, present in _halves(acc):
         contracted = absent - present
@@ -238,7 +318,7 @@ def pmf_fourier_vector(spec: PBSpec) -> np.ndarray:
 def superset_sum(spec: PBSpec) -> np.ndarray:
     """All superset statistics S(J) via the superset zeta transform, as a
     read-only table of 2^s floats indexed by the bit mask of J."""
-    values = _lattice_transform(_dense(spec), np.add, superset=True)
+    values = _superset_table(spec)
     values.flags.writeable = False
     return values
 
@@ -283,15 +363,19 @@ def support_vector(spec: PBSpec) -> np.ndarray:
     """Exact support indicator over all 2^s states (no floating point): the
     masks carrying mass, closed upwards by the coin flips when 0 < q < 1."""
     s, q = spec.s, spec.q
-    carriers = np.zeros(1 << s, dtype=bool)
-    carriers[[mask for mask, mass in spec.sigma.items() if mass > 0.0]] = True
+    masks, masses = _masses(spec)
+    carriers = masks[masses > 0.0]
+    if 0.0 < q < 1.0:
+        return _sparse_table(
+            s, carriers, True,
+            lambda table, first: _lattice_transform(table, np.logical_or, first=first),
+        )
+    out = np.zeros(1 << s, dtype=bool)
     if q == 0.0:
-        return carriers
-    if q == 1.0:
-        out = np.zeros(1 << s, dtype=bool)
-        out[(1 << s) - 1] = carriers.any()
-        return out
-    return _lattice_transform(carriers, np.logical_or)
+        out[carriers] = True
+    else:
+        out[(1 << s) - 1] = len(carriers) > 0
+    return out
 
 
 def _check_pair(a: PBSpec, b: PBSpec) -> None:

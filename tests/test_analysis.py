@@ -43,6 +43,7 @@ from pcsemi.analysis import (
     _expected_column_kl,
     _kl_rows,
     _law_rows,
+    _law_tables,
 )
 from pcsemi.graph_model import (
     AssignmentState,
@@ -160,7 +161,7 @@ class TestColumnLawGrid:
                     kls[d].append(memo[key])
                 for d, values in enumerate(kls):
                     want = math.fsum(values) / len(values)
-                    got = _expected_column_kl(column_law(base).sigma_counts, d, ref)
+                    got = _expected_column_kl(column_law(base).sigma_counts, d, _law_tables(ref))
                     assert abs(got - want) <= 1e-12 * abs(want), (clique, d)
 
 
@@ -486,7 +487,7 @@ class TestStackedScores:
         sigma = np.zeros((len(rows), 1 << s))
         for row, masses in zip(sigma, rows):
             row[list(masses)] = list(masses.values())
-        got = _kl_rows(sigma, ref)
+        got = _kl_rows(sigma, _law_tables(ref))
         assert got[0] == math.inf
         assert hexes(got[1:]) == hexes(kl_exact(PBSpec(s, q, r), ref) for r in rows[1:])
 
@@ -502,9 +503,10 @@ class TestStackedScores:
         counts = column_law(AssignmentState(mode, m, k, q, planted, structure_points(planted, m)[:s])).sigma_counts
         ref = reference_law(q, s)
         want = [scalar_expected_column_kl(counts, x, ref) for x in range(d)]
-        assert [_expected_column_kl(counts, x, ref) for x in range(d)] == want
+        tables = _law_tables(ref)
+        assert [_expected_column_kl(counts, x, tables) for x in range(d)] == want
         monkeypatch.setattr("pcsemi.analysis._WEIGHT_BLOCK", 64)
-        assert [_expected_column_kl(counts, x, ref) for x in range(d)] == want
+        assert [_expected_column_kl(counts, x, tables) for x in range(d)] == want
 
 
 def oracle_chained_grid_s2(n, m):

@@ -310,10 +310,11 @@ class TestLatticeTransform:
         assert np.array_equal(work, values)
 
 
-def plain_halves(out):
-    """Every bit of the last axis in place on ``out``, one strided pass each:
-    the layout the transposed low-bit walk of ``_halves`` must reproduce."""
-    for b in range(out.shape[-1].bit_length() - 1):
+def plain_halves(out, first=0):
+    """Every bit from ``first`` of the last axis in place on ``out``, one
+    strided pass each: the layout the transposed low-bit walk of ``_halves``
+    must reproduce."""
+    for b in range(first, out.shape[-1].bit_length() - 1):
         v = out.reshape(-1, 2, 1 << b)
         yield v[:, 0, :], v[:, 1, :]
 
