@@ -443,6 +443,10 @@ def kl_bound(a: PBSpec, b: PBSpec) -> float:
     For q near 0, c(q)^|J| can overflow.  A term whose weight is infinite
     makes the bound +inf where S(J) != T(J), and is left out where they are
     equal, its true value being zero.
+
+    The terms are summed by a numpy reduction, whose order is fixed, and
+    not by ``np.dot``: BLAS splits a long dot product across its threads,
+    so its last bits depend on the thread count.
     """
     _check_pair(a, b)
     if a.q != b.q:
@@ -463,8 +467,8 @@ def kl_bound(a: PBSpec, b: PBSpec) -> float:
         finite = np.isfinite(weights)
         if np.any(~finite & (s_stats != t_stats)):
             return math.inf
-        return float(np.dot(weights[finite], (s_stats - t_stats)[finite] ** 2) / tau0)
-    return float(np.dot(weights, (s_stats - t_stats) ** 2) / tau0)
+        return float(np.sum(weights[finite] * (s_stats - t_stats)[finite] ** 2) / tau0)
+    return float(np.sum(weights * (s_stats - t_stats) ** 2) / tau0)
 
 
 def compare(a: PBSpec, b: PBSpec) -> DivergenceReport:

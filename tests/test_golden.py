@@ -123,7 +123,9 @@ DIGESTS = {
     "verify-column-laws": "362aab26717088fd0f3d911a225ef5e2810239e3a6ea5206c9e6fa4321cad36b",
     # re-recorded without the constant hypotheses_ok column; the rest is unchanged
     "verify-local-bounds": "2fcb93fe05b94e6f8fbdddcef26f2d631e7a168f9c7fbaa99127b05924c5d097",
-    "verify-pb-bound": "8beaf5a1d1e699e357b9c098b922a8e055f826cd1a43432371a5a6012b4431c1",
+    # re-recorded when kl_bound moved from np.dot to a numpy sum, whose order
+    # does not depend on the BLAS thread count; the exact divergences are unchanged
+    "verify-pb-bound": "9e9e84e8002beceecc87b86cb85a00aa9d361e70671de96892caae11ebdcdf5f",
 }
 
 # ``recover`` on one instance of each model: (gen flags, recover flags,
@@ -164,7 +166,9 @@ RECOVER_CASES = {
 }
 
 LARGE_DIGESTS = {
-    18: "7881cfe98e3c81479f4887178ac59c8760817cb995677905a276f04dc134edf9",
+    # re-recorded with kl_bound's thread-independent sum, like verify-pb-bound;
+    # at MAX_DIM that sum equals what the two-thread np.dot gave
+    18: "7ae6cf828674c38c25b91e8c1d066f4e7a838cc53d95ecdb90db9fea64e0dd4e",
     MAX_DIM: "af9846a54edb3603ea327613c65297f8ceb31f515517518f22381ed1a7106a0d",
 }
 

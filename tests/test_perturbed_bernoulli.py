@@ -8,6 +8,9 @@ sums), never from the code under test.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -433,6 +436,83 @@ class TestSupportVector:
             assert same_bytes(support_vector(spec), old_support(spec))
 
 
+def full_walk_table(s, masks, values, walk):
+    """``_sparse_table`` before the split: the dense table, filled one mask at
+    a time, through the walk of every coordinate of the whole table."""
+    values = np.broadcast_to(values, masks.shape)
+    table = np.zeros(1 << s, values.dtype)
+    for mask, value in zip(masks.tolist(), values.tolist()):
+        table[mask] = value
+    return walk(table, 0)
+
+
+def law_on(rng, s, q, masks):
+    masks = sorted(set(masks))
+    return PBSpec(s, q, dict(zip(masks, rng.dirichlet(np.ones(len(masks))).tolist())))
+
+
+def split_laws(s):
+    """Sparse laws whose masks spread, share their high bits or share their
+    low bits, point masses at both ends, listed zero masses of both signs,
+    the support's edge rates, and dense laws at 12 and MAX_DIM."""
+    rng = np.random.default_rng(700 + s)
+    q = float(rng.uniform(0.05, 0.95))
+    full = (1 << s) - 1
+    low = max(1, s // 3)
+    yield random_spec(rng, s, q)
+    yield random_spec(rng, s, q, include_empty=True)
+    high = int(rng.integers(1 << s)) & ~((1 << low) - 1)
+    yield law_on(rng, s, q, [high | int(x) for x in rng.integers(1 << low, size=s)])
+    tail = int(rng.integers(1 << low))
+    yield law_on(rng, s, q, [tail | int(x) << low for x in rng.integers(1 << (s - low), size=s)])
+    yield PBSpec(s, q, {0: 1.0})
+    yield PBSpec(s, q, {full: 1.0})
+    signed = {0: 0.5, full: 0.5}
+    signed.setdefault(1 << (s - 1), 0.0)
+    signed.setdefault(1, -0.0)
+    yield PBSpec(s, q, signed)
+    for edge in (0.0, 1.0):
+        yield PBSpec(s, edge, signed)
+    if s in (12, MAX_DIM):
+        yield bernoulli_lift(q / 2, 0.5, s)
+
+
+class TestSparseSplit:
+    """Every table built from a law's sparse masses has the bytes of the
+    dense table walked over every coordinate."""
+
+    @pytest.mark.parametrize("s", range(1, MAX_DIM + 1))
+    def test_tables_match_the_full_walk(self, monkeypatch, s):
+        def tables(spec):
+            out = [pmf_vector(spec), superset_sum(spec), support_vector(spec)]
+            return out + [pmf_fourier_vector(spec)] if spec.q > 0.0 else out
+
+        for spec in split_laws(s):
+            got = tables(spec)
+            with monkeypatch.context() as m:
+                m.setattr(perturbed_bernoulli, "_sparse_table", full_walk_table)
+                want = tables(spec)
+            assert all(same_bytes(g, w) for g, w in zip(got, want)), spec.sigma
+
+    def test_sparse_law_takes_the_split(self, monkeypatch):
+        """At s = 18 the first coordinates run on a stack of at most 2^s / 8
+        entries and the whole table only from the split bit on."""
+        s = 18
+        spec = PBSpec(s, 0.4, {0: 0.5, 0b1011: 0.25, (1 << s) - 1: 0.25})
+        walks = []
+
+        def spy(out, first=0):
+            walks.append((out.size, first))
+            return halves(out, first)
+
+        halves = perturbed_bernoulli._halves
+        monkeypatch.setattr(perturbed_bernoulli, "_halves", spy)
+        pmf_vector(spec)
+        (stack, _), (whole, split) = walks
+        assert stack <= 1 << (s - 3)
+        assert whole == 1 << s and split > 0
+
+
 class TestPowerLookup:
     """``kl_bound`` looks the per-state powers base^k up in a table of the
     s + 1 distinct exponents instead of raising the base to a 2^s-entry
@@ -459,7 +539,7 @@ class TestPowerLookup:
                 b = random_spec(rng, s, q, include_empty=True)
                 ratio = (1.0 - q) / q
                 diff = superset_sum(a) - superset_sum(b)
-                expected = float(np.dot((ratio * max(1.0, ratio)) ** pop, diff**2) / b.mass(0))
+                expected = float(np.sum((ratio * max(1.0, ratio)) ** pop * diff**2) / b.mass(0))
                 assert kl_bound(a, b) == expected
 
 
@@ -587,6 +667,29 @@ class TestKLBound:
             # only S({2}) - T({2}) = 1/2 is nonzero, at weight c
             assert kl_bound(near, b) == pytest.approx(c * 0.25 / 0.5, rel=1e-12)
             assert kl_exact(near, b) <= kl_bound(near, b)
+
+    def test_independent_of_blas_threads(self):
+        """The same bound, to the last bit, whatever the BLAS thread count:
+        at s = 18 a BLAS dot product splits its sum across threads."""
+        code = (
+            "import numpy as np\n"
+            "from pcsemi.perturbed_bernoulli import kl_bound, random_spec\n"
+            "rng = np.random.default_rng(18)\n"
+            "a = random_spec(rng, 18, 0.4)\n"
+            "b = random_spec(rng, 18, 0.4, include_empty=True)\n"
+            "print(kl_bound(a, b).hex())\n"
+        )
+        bounds = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert out.returncode == 0, out.stderr
+            bounds.append(out.stdout.strip())
+        assert bounds[0] == bounds[1]
 
     def test_dominates_exact_kl(self):
         rng = np.random.default_rng(31)
