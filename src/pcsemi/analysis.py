@@ -725,9 +725,9 @@ def _removal_counts(sizes: list[int], lengths: int) -> list[int]:
 def _expected_column_kl(counts, d, ref) -> float:
     """E over a uniform d-point prefix of the column KL against the law
     whose ``_law_tables`` are ``ref``, for the (forced mask f, free
-    candidates N_f) pairs ``counts``.  The removal
-    vectors run in lexicographic order over the nonzero masks ascending and
-    then mask 0, which takes whatever the others leave of the prefix."""
+    candidates N_f) pairs ``counts``.  The removal vectors run in
+    lexicographic order over the nonzero masks ascending and then mask 0,
+    which takes whatever the others leave of the prefix."""
     counts = dict(counts)
     masks = sorted(f for f in counts if f) + [0]
     sizes = [counts.get(f, 0) for f in masks]
@@ -744,7 +744,7 @@ def _expected_column_kl(counts, d, ref) -> float:
 
     # the weighted KLs are added one by one in the order of the removal vectors
     out = 0.0
-    s = len(ref[1]).bit_length() - 1
+    s = len(ref[1]).bit_length() - 1  # the support table has 2^s entries
     for block in _stacks(rec(0, d, 1, []), s):
         ways, taken = zip(*block)
         sigma = np.zeros((len(block), 1 << s))
